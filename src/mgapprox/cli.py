@@ -28,7 +28,6 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-import scipy
 
 from . import __version__
 from .errors import InvariantViolation
@@ -200,6 +199,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
                 raise UsageError(f"bad value for {key}: {file_cfg[key]!r}") from exc
         else:
             cfg[key] = opt.default
+        if opt.conv is float and cfg[key] is not None and not math.isfinite(cfg[key]):
+            raise UsageError(f"{key} must be finite, got {cfg[key]!r}")
     if cfg["out"] not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {cfg['out']!r}")
     return cfg
@@ -302,7 +303,6 @@ def _metadata(cfg: dict) -> dict:
         "versions": {
             "mgapprox": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "mpmath": mpmath.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },

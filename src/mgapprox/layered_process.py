@@ -15,20 +15,22 @@ The spike magnitudes q_k grow by a factor of about 30 k sqrt(8 phi(k)) per
 level, so the summed value determines every level outcome: at each level
 the nine possible (E, D) sign pairs shift the value into nine disjoint
 intervals of half-width r_{k-1}.  Magnitudes overflow binary64 near level
-40; q, r, s are therefore kept as natural logs, and the encoder/decoder
-runs in arbitrary precision sized to the dynamic range.
+40; q, r, s are therefore kept as natural logs, and those stored logs are
+the only representation of the scales.  The nine centers of a level are
+built from them once, in arbitrary precision sized to the dynamic range,
+by one helper that both the decoding tables and the encoder/decoder use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Callable
 
 import mpmath
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import InvariantViolation
 from .rng import substream
@@ -73,9 +75,10 @@ def power_rule(beta: float) -> Callable[[int], float]:
     return lambda n: float(n) ** -beta
 
 
+@lru_cache(maxsize=None)
 def _tail_inverse_squares(j: int) -> float:
     # sum_{k > j} 1/k^2, analytically (trigamma at j+1)
-    return float(polygamma(1, j + 1))
+    return float(mpmath.psi(1, j + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +124,7 @@ def _smallest_horizon(
             raise ValueError("the floor sequence must stay strictly positive")
         return bm * bm < target
 
-    if ok(start):
+    if start <= cap and ok(start):
         return start
     if start >= cap:
         raise ValueError(f"no admissible horizon at or below the search cap {cap}")
@@ -160,7 +163,9 @@ def synthesize_layer_params(
     phi(j) is the smallest integer above phi(j-1) (phi(0) = 12, which forces
     rho < 1/10) with 2 sum_{k>j} p_k^2 > b(phi(j))^2, the tail over all k > j
     taken analytically.  rho_k^2 = 1/(8 phi(k)).  q_1 = 1 and the recursion
-    rho_{n+1} p_{n+1} q_{n+1} = 30 sum_{k<=n} p_k q_k runs in log space.
+    rho_{n+1} p_{n+1} q_{n+1} = 30 sum_{k<=n} p_k q_k make the reach
+    r_n = 3 sum_{k<=n} p_k q_k grow as r_n = r_{n-1} (1 + 30/rho_n), so all
+    three logs follow in closed form from rho.
     """
     level_count = int(level_count)
     if level_count < 2:
@@ -176,19 +181,10 @@ def synthesize_layer_params(
         phi[j - 1] = prev
     rho = 1.0 / np.sqrt(8.0 * phi.astype(float))
 
-    log_p = -np.log(np.arange(1.0, level_count + 1.0))
-    log_q = np.zeros(level_count)
-    log_s = np.zeros(level_count)  # log_s[0] = log(p_1 q_1) = 0
-    log_r = np.empty(level_count)
-    cum = 0.0  # log sum_{k<=1} p_k q_k
-    log_r[0] = math.log(3.0)
-    for lvl in range(2, level_count + 1):
-        lq = math.log(30.0) + cum - math.log(rho[lvl - 1]) - log_p[lvl - 1]
-        log_q[lvl - 1] = lq
-        ls = log_p[lvl - 1] + lq
-        log_s[lvl - 1] = ls
-        cum = float(np.logaddexp(cum, ls))
-        log_r[lvl - 1] = math.log(3.0) + cum
+    log_r = math.log(3.0) + np.concatenate(([0.0], np.cumsum(np.log1p(30.0 / rho[1:]))))
+    # log_s[0] = log(p_1 q_1) = 0; later levels have s_l = 10 r_{l-1} / rho_l
+    log_s = np.concatenate(([0.0], math.log(10.0) + log_r[:-1] - np.log(rho[1:])))
+    log_q = log_s - np.log(p)
 
     params = LayerParams(
         level_count=level_count,
@@ -215,24 +211,24 @@ def _check_params(params: LayerParams) -> None:
     for j in range(1, k + 1):
         if not 2.0 * _tail_inverse_squares(j) > params.b_at_phi[j - 1] ** 2:
             raise InvariantViolation(f"tail condition fails at level {j}")
-    # q recursion, replayed in log space
-    cum = 0.0
-    for lvl in range(2, k + 1):
-        lhs = (
-            math.log(params.rho[lvl - 1])
-            + math.log(params.p[lvl - 1])
-            + params.log_q[lvl - 1]
-        )
-        rhs = math.log(30.0) + cum
-        if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs)):
-            raise InvariantViolation(f"q recursion broken at level {lvl}")
-        cum = float(np.logaddexp(cum, math.log(params.p[lvl - 1]) + params.log_q[lvl - 1]))
-        # s_{lvl} = 10 r_{lvl-1} / rho_lvl > 100 r_{lvl-1}
-        gap = params.log_s[lvl - 1] - params.log_r[lvl - 2]
-        if not gap > math.log(100.0):
-            raise InvariantViolation(f"scale separation s > 100 r fails at level {lvl}")
-    if params.log_q[0] != 0.0:
-        raise InvariantViolation("q_1 != 1")
+    if params.log_q[0] != 0.0 or params.log_s[0] != 0.0:
+        raise InvariantViolation("q_1 != 1 or p_1 q_1 != 1")
+    log_s, log_r = params.log_s, params.log_r
+    # the defining sums, on the stored logs; rho s = 10 r_prev is the q
+    # recursion rho_l p_l q_l = 30 sum_{k<l} p_k q_k
+    sums = (
+        ("s = p q", 1, log_s, np.log(params.p) + params.log_q),
+        ("r = 3 sum s", 1, log_r, math.log(3.0) + np.logaddexp.accumulate(log_s)),
+        ("q recursion", 2, np.log(params.rho[1:]) + log_s[1:], math.log(10.0) + log_r[:-1]),
+    )
+    for name, first_level, lhs, rhs in sums:
+        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(lhs))))
+        if bad.size:
+            raise InvariantViolation(f"{name} broken at level {first_level + int(bad[0])}")
+    # s_l = 10 r_{l-1} / rho_l > 100 r_{l-1}
+    bad = np.flatnonzero(~(log_s[1:] - log_r[:-1] > math.log(100.0)))
+    if bad.size:
+        raise InvariantViolation(f"scale separation s > 100 r fails at level {int(bad[0]) + 2}")
 
 
 def residual_norm_sq_lagged(params: LayerParams, n: int) -> float:
@@ -281,9 +277,50 @@ def residual_norm_sq_natural(params: LayerParams, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decoding tables
+# decoding centers, tables and the arbitrary-precision encode/decode
 
 _OUTCOMES = tuple(product((-1, 0, 1), repeat=2))  # lexicographic (sx, sy)
+
+
+def _working_dps(params: LayerParams, guard_digits: int = 30) -> int:
+    # decimal digits spanning the smallest spacing (rho_1) to the top scale
+    span = float(params.log_s[-1]) - min(0.0, math.log(float(params.rho[0])))
+    return guard_digits + int(span / math.log(10.0)) + 1
+
+
+def _level_centers(params: LayerParams, level: int, dps: int):
+    """The nine decoding centers of one level, as ``(outcome, center)`` pairs
+    in lexicographic outcome order, and the level's half-width r_{l-1}
+    (zero at level 1), all mpf at ``dps`` digits.
+
+    Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s), read off
+    the stored logs.  They must match their s/r compositions: the sy = 0
+    column is +-10 r_{l-1} and the |sy| = 1 columns are
+    -sy (s + (1 - sx sy) 10 r_{l-1}).  Each composition differs from its
+    center by a multiple of rho s - 10 r_{l-1}, so the one identity
+    rho s = 10 r_{l-1} checks all nine.  Sorted centers must lie at least
+    2 r_{l-1} apart, and be distinct at level 1.  Any failure raises
+    InvariantViolation.
+    """
+    log_s = float(params.log_s[level - 1])
+    if level >= 2 and not log_s - float(params.log_r[level - 2]) > math.log(100.0):
+        raise InvariantViolation(f"scale separation fails at level {level}")
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(float(params.rho[level - 1]))
+        s = mpmath.exp(log_s)
+        half = mpmath.exp(float(params.log_r[level - 2])) if level >= 2 else mpmath.mpf(0)
+        lag, lead = rho * s, (1 + rho) * s
+        tol = 1e-12 * max(1.0, abs(log_s))
+        if level >= 2 and not abs(lag - 10 * half) <= tol * 10 * half:
+            raise InvariantViolation(f"center composition mismatch at level {level}")
+        cells = [((sx, sy), sx * lag - sy * lead) for sx, sy in _OUTCOMES]
+        ordered = sorted(cells, key=lambda cell: cell[1])
+        for (low, lo), (high, hi) in zip(ordered, ordered[1:]):
+            if not (hi > lo and hi - lo >= 2 * half):
+                raise InvariantViolation(
+                    f"intervals overlap at level {level}: outcomes {low}, {high}"
+                )
+    return cells, half
 
 
 @dataclass(frozen=True)
@@ -308,35 +345,6 @@ class DecodingTable:
     log_half_width: float
 
 
-def _cell_sign_log(rho: float, log_s: float, sx: int, sy: int) -> tuple[int, float]:
-    # sign and log|.| of s (rho sx - (1 + rho) sy)
-    if sy == 0:
-        if sx == 0:
-            return 0, -math.inf
-        return sx, math.log(rho) + log_s
-    if sy == -1:
-        return 1, log_s + math.log1p(rho * (1.0 + sx))
-    return -1, log_s + math.log1p(rho * (1.0 - sx))
-
-
-def _slog_key(sign: int, log_abs: float):
-    # sort key for sign * exp(log_abs)
-    return (sign, 0.0) if sign == 0 else (sign, sign * log_abs)
-
-
-def _slog_gap_log(s1: int, l1: float, s2: int, l2: float) -> float:
-    # log(v2 - v1) for v1 < v2 given as (sign, log|.|)
-    if s1 == 0:
-        return l2
-    if s2 == 0:
-        return l1
-    if s1 < 0 and s2 > 0:
-        return float(np.logaddexp(l1, l2))
-    if s1 > 0:  # both positive, so l2 > l1
-        return l2 + math.log1p(-math.exp(l1 - l2))
-    return l1 + math.log1p(-math.exp(l2 - l1))  # both negative, |v1| > |v2|
-
-
 def decoding_table(params: LayerParams, level: int) -> DecodingTable:
     """Interval table used to read the level-``level`` outcome off a value.
 
@@ -344,69 +352,30 @@ def decoding_table(params: LayerParams, level: int) -> DecodingTable:
     half-width is r_{l-1}, the reach of all lower levels combined.  Level 1
     has half-width zero (no lower levels): its table degenerates to nine
     isolated points, and decoding matches the nearest center instead of an
-    interval.  Construction cross-checks each center against the
-    s/r composition (e.g. s + 20 r = s (1 + 2 rho)) and verifies pairwise
-    disjointness in the sign/log representation, raising InvariantViolation
-    on any failure.
+    interval.  The centers and their checks (composition, disjointness) are
+    the ones LayerCodec decodes with, built from the stored logs at the
+    codec's working precision and rounded to binary64 here; a value beyond
+    the binary64 range becomes +-inf, its log stays finite.
     """
     level = int(level)
     if not 1 <= level <= params.level_count:
         raise ValueError(f"level must lie in [1, {params.level_count}]")
-    rho = float(params.rho[level - 1])
-    log_s = float(params.log_s[level - 1])
-    if level >= 2:
-        log_r_prev = float(params.log_r[level - 2])
-        if not log_s - log_r_prev > math.log(100.0):
-            raise InvariantViolation(f"scale separation fails at level {level}")
-    else:
-        log_r_prev = -math.inf
-
-    cells = []
-    for sx, sy in _OUTCOMES:
-        sign, log_abs = _cell_sign_log(rho, log_s, sx, sy)
-        try:
-            value = sign * math.exp(log_abs) if sign else 0.0
-        except OverflowError:
-            value = sign * math.inf
-        cells.append(TableCell(outcome=(sx, sy), sign=sign, log_abs=log_abs, value=value))
-
-    if level >= 2:
-        # each center must also equal its s/r composition: the sy = 0 column
-        # is +-10 r, and the |sy| = 1 columns are -sy (s + (1 + sx sy) 10 r)
-        for cell in cells:
-            sx, sy = cell.outcome
-            if sy == 0 and sx != 0:
-                alt = math.log(10.0) + log_r_prev
-            elif sy != 0:
-                shift = (1 + sx * (-sy)) * 10.0
-                if shift == 0.0:
-                    alt = log_s
-                else:
-                    alt = float(np.logaddexp(log_s, math.log(shift) + log_r_prev))
-            else:
-                continue
-            if abs(alt - cell.log_abs) > 1e-12 * max(1.0, abs(alt)):
-                raise InvariantViolation(
-                    f"center composition mismatch at level {level}, outcome {cell.outcome}"
-                )
-
-    ordered = sorted(cells, key=lambda cell: _slog_key(cell.sign, cell.log_abs))
-    log_width = math.log(2.0) + log_r_prev  # full interval width, log
-    for lowc, highc in zip(ordered, ordered[1:]):
-        gap = _slog_gap_log(lowc.sign, lowc.log_abs, highc.sign, highc.log_abs)
-        if not (gap > -math.inf and (level == 1 or gap >= log_width - 1e-12)):
-            raise InvariantViolation(
-                f"intervals overlap at level {level}: outcomes {lowc.outcome}, {highc.outcome}"
-            )
-
-    half = math.exp(log_r_prev) if level >= 2 else 0.0
+    cells, half = _level_centers(params, level, _working_dps(params))
     return DecodingTable(
-        level=level, cells=tuple(cells), half_width=half, log_half_width=log_r_prev
+        level=level,
+        cells=tuple(
+            TableCell(
+                outcome=outcome,
+                sign=int(mpmath.sign(center)),
+                log_abs=float(mpmath.log(abs(center))),
+                value=float(center),
+            )
+            for outcome, center in cells
+        ),
+        half_width=float(half),
+        log_half_width=float(mpmath.log(half)),
     )
 
-
-# ---------------------------------------------------------------------------
-# arbitrary-precision encode/decode
 
 @dataclass(frozen=True)
 class DecodedSample:
@@ -424,39 +393,25 @@ class LayerCodec:
     """Arbitrary-precision encoder/decoder for level outcomes.
 
     Working precision is sized to the construction's dynamic range plus
-    guard digits, and every scale constant is rebuilt from (p, rho, phi) at
-    that precision, so the cascading subtractions keep a wide margin
-    relative to each level's half-width.  A value is decodable in plain
-    binary64 only when all levels above the binary64 range are silent; this
-    codec removes that restriction.
+    guard digits.  Centers and half-widths come from the same per-level
+    builder as ``decoding_table``, evaluated from the stored logs at that
+    precision, so the codec rejects inconsistent params exactly as the
+    tables do, and the cascading subtractions keep a wide margin relative
+    to each level's half-width.  A value is decodable in plain binary64
+    only when all levels above the binary64 range are silent; this codec
+    removes that restriction.
     """
 
     def __init__(self, params: LayerParams, guard_digits: int = 30):
         self.params = params
-        span = float(params.log_s[-1]) - min(0.0, math.log(float(params.rho[0])))
-        self.dps = guard_digits + int(span / math.log(10.0)) + 1
-        k = params.level_count
-        with mpmath.workdps(self.dps):
-            rho = [1 / mpmath.sqrt(8 * int(m)) for m in params.phi]
-            p = [mpmath.mpf(1) / i for i in range(1, k + 1)]
-            q = [mpmath.mpf(1)]
-            for lvl in range(2, k + 1):
-                total = mpmath.fsum(p[i] * q[i] for i in range(lvl - 1))
-                q.append(30 * total / (rho[lvl - 1] * p[lvl - 1]))
-            scale = [p[i] * q[i] for i in range(k)]
-            reach = [3 * mpmath.fsum(p[i] * q[i] for i in range(lvl)) for lvl in range(1, k + 1)]
-            centers = []
-            for lvl in range(1, k + 1):
-                cells = [
-                    ((sx, sy), scale[lvl - 1] * (rho[lvl - 1] * sx - (1 + rho[lvl - 1]) * sy))
-                    for sx, sy in _OUTCOMES
-                ]
-                # the silent outcome decodes most samples; test it first
-                cells.sort(key=lambda cell: cell[0] != (0, 0))
-                centers.append(cells)
-            self._rho = rho
-            self._reach = reach
-            self._centers = centers
+        self.dps = _working_dps(params, guard_digits)
+        levels = [
+            _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
+        ]
+        # the silent outcome decodes most samples; test it first
+        self._centers = [sorted(cells, key=lambda cell: cell[0] != (0, 0)) for cells, _ in levels]
+        self._reach = [half for _, half in levels[1:]]  # _reach[l - 2] = r_{l-1}
+        self._level_one_tol = mpmath.mpf(float(params.rho[0])) / 4  # exact
 
     def encode(self, x_signs, y_signs) -> mpmath.mpf:
         """Exact value of the time-zero sum for explicit level outcomes."""
@@ -507,9 +462,8 @@ class LayerCodec:
                     return DecodedSample(tuple(xs), tuple(ys), ok=False, fail_level=lvl)
                 (xs[lvl - 1], ys[lvl - 1]), center = hit
                 residual -= center
-            tol = self._rho[0] / 4
             for outcome, center in self._centers[0]:
-                if abs(residual - center) < tol:
+                if abs(residual - center) < self._level_one_tol:
                     xs[0], ys[0] = outcome
                     return DecodedSample(tuple(xs), tuple(ys), ok=True)
         return DecodedSample(tuple(xs), tuple(ys), ok=False, fail_level=1)

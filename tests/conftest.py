@@ -23,3 +23,8 @@ def layer_params_k4():
 @pytest.fixture(scope="session")
 def layer_params_k8():
     return synthesize_layer_params(inv_sqrt_log_rule(), 8)
+
+
+@pytest.fixture(scope="session")
+def layer_params_k24():
+    return synthesize_layer_params(inv_sqrt_log_rule(), 24)

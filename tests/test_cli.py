@@ -233,6 +233,28 @@ class TestExitStatus:
         assert run("inner", "--out", "xml") == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ("gap", "--c", "nan", "--trunc", "10"),
+        ("gap", "--c=-inf", "--trunc", "10"),
+        ("inner", "--a", "inf"),
+        ("inner", "--a", "nan"),
+        ("gap", "--kind", "blaschke", "--rule", "power", "--alpha", "nan"),
+        ("gap", "--kind", "blaschke", "--rule", "power", "--alpha=-inf"),
+    ])
+    def test_non_finite_float_flag(self, argv, capsys):
+        assert run(*argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert os.listdir() == []
+
+    def test_non_finite_float_from_config_file(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("a = nan\n")
+        assert run("inner", "--config", "run.cfg") == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_search_cap_below_first_horizon(self, capsys):
+        assert run("prop3", "--K", "2", "--search-cap", "0") == 1
+        assert "search cap" in capsys.readouterr().err
+
     def test_invariant_violation_status(self, monkeypatch, capsys):
         def boom(level, k_max):
             raise InvariantViolation("forced for the status check")

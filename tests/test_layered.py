@@ -2,11 +2,11 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import polygamma
 
 from mgapprox import (
     FIRE_LOG_FLOOR,
@@ -62,6 +62,19 @@ class TestSynthesis:
                 3.0 * float(np.sum(p[: lvl + 1] * q[: lvl + 1])), rel=1e-12
             )
 
+    def test_closed_form_matches_log_space_recursion(self, layer_params_k24):
+        # Replay the defining recursion level by level in log space, where
+        # plain floats would overflow; the synthesis uses the closed form.
+        pr = layer_params_k24
+        cum = 0.0  # log sum_{k<=1} p_k q_k
+        for lvl in range(1, pr.level_count):
+            log_q = math.log(30.0) + cum - math.log(pr.rho[lvl]) - math.log(pr.p[lvl])
+            log_s = math.log(pr.p[lvl]) + log_q
+            cum = float(np.logaddexp(cum, log_s))
+            assert pr.log_q[lvl] == pytest.approx(log_q, rel=1e-14)
+            assert pr.log_s[lvl] == pytest.approx(log_s, rel=1e-14)
+            assert pr.log_r[lvl] == pytest.approx(math.log(3.0) + cum, rel=1e-14)
+
     def test_scale_separation(self, layer_params_k8):
         pr = layer_params_k8
         gaps = pr.log_s[1:] - pr.log_r[:-1]
@@ -70,7 +83,7 @@ class TestSynthesis:
     def test_tail_condition_at_each_horizon(self, layer_params_k8):
         pr = layer_params_k8
         for j in range(1, 9):
-            tail = float(polygamma(1, j + 1))
+            tail = math.pi**2 / 6.0 - math.fsum(1.0 / k**2 for k in range(1, j + 1))
             assert 2.0 * tail > pr.b_at_phi[j - 1] ** 2
 
     def test_level_count_validation(self):
@@ -82,6 +95,13 @@ class TestSynthesis:
         slow = lambda n: 4.0 / math.sqrt(math.log(n + 3))
         with pytest.raises(ValueError, match="search cap"):
             synthesize_layer_params(slow, 2, search_cap=1000)
+
+    @pytest.mark.parametrize("level_count, search_cap", [(5, 16), (2, 0)])
+    def test_search_cap_holds_at_the_start_horizon(self, level_count, search_cap):
+        # the uncapped horizons start 13, 14, 15, 16, 17: a cap of 16 cuts
+        # the fifth, a cap of 0 the first
+        with pytest.raises(ValueError, match="search cap"):
+            synthesize_layer_params(inv_sqrt_log_rule(), level_count, search_cap=search_cap)
 
     def test_power_rule_floor(self):
         pr = synthesize_layer_params(power_rule(0.25), 3)
@@ -198,16 +218,7 @@ class TestDecodingTables:
 
     def test_tampered_scales_rejected(self, layer_params_k4):
         pr = layer_params_k4
-        bad = LayerParams(
-            level_count=pr.level_count,
-            p=pr.p,
-            rho=pr.rho,
-            phi=pr.phi,
-            log_q=pr.log_q,
-            log_r=pr.log_r + 50.0,  # reach now swamps the level scale
-            log_s=pr.log_s,
-            b_at_phi=pr.b_at_phi,
-        )
+        bad = replace(pr, log_r=pr.log_r + 50.0)  # reach now swamps the level scale
         with pytest.raises(InvariantViolation):
             decoding_table(bad, 2)
 
@@ -253,6 +264,40 @@ class TestLayerCodec:
             value = 2 * codec._reach[2]
         out = codec.decode(value)
         assert not out.ok and not out.boundary and out.fail_level == 4
+
+    @pytest.mark.parametrize("name", ["log_r", "log_s"])
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6, 2.0])
+    def test_shifted_scales_rejected_like_the_tables(self, layer_params_k4, name, shift):
+        # both build their centers through the same checks, so a shift by
+        # far less than the scale separation already breaks the composition
+        pr = layer_params_k4
+        bad = replace(pr, **{name: getattr(pr, name) + shift})
+        with pytest.raises(InvariantViolation):
+            LayerCodec(bad)
+        with pytest.raises(InvariantViolation):
+            decoding_table(bad, 2)
+
+    @pytest.mark.parametrize("level_count", [8, 24])
+    def test_every_level_round_trips_when_forced_to_fire(
+        self, layer_params_k8, layer_params_k24, level_count
+    ):
+        # Sampled draws almost never fire above level 1, so force level l to
+        # each of its eight non-silent outcomes in turn while every other
+        # level draws uniformly from all nine.
+        params = {8: layer_params_k8, 24: layer_params_k24}[level_count]
+        codec = LayerCodec(params)
+        outcomes = list(itertools.product((-1, 0, 1), repeat=2))
+        firing = [pair for pair in outcomes if pair != (0, 0)]
+        rng = np.random.default_rng(level_count)
+        for level in range(level_count):
+            for pair in firing:
+                for _ in range(2):
+                    combo = [outcomes[i] for i in rng.integers(0, 9, size=level_count)]
+                    combo[level] = pair
+                    xs = tuple(sx for sx, _ in combo)
+                    ys = tuple(sy for _, sy in combo)
+                    out = codec.decode(codec.encode(xs, ys))
+                    assert out.ok and out.x_signs == xs and out.y_signs == ys, (level + 1, combo)
 
     def test_precision_scales_with_dynamic_range(self, layer_params_k4, layer_params_k8):
         assert LayerCodec(layer_params_k8).dps > LayerCodec(layer_params_k4).dps
