@@ -1,10 +1,12 @@
 """Command-line driver for every experiment in the package.
 
-Each subcommand is a thin adapter: it resolves a configuration, calls
-library functions, and writes their results as tables.  No numeric logic
-lives here.  Configuration comes from flags, then a key=value config file,
-then documented defaults; the resolved configuration is echoed into the
-output metadata, and rerunning with an identical configuration produces
+Each subcommand is a thin adapter: it calls library functions on the
+resolved configuration and returns their results as tables of native
+Python values; main writes the tables only once all of them are computed,
+so a failed command writes no file.  No numeric logic lives here.
+Configuration comes from flags, then a key=value config file, then
+documented defaults; the resolved configuration is echoed into the output
+metadata, and rerunning with an identical configuration produces
 byte-identical files (wall time is reported on stderr only, never written
 into an output).
 
@@ -23,7 +25,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Callable
 
 import mpmath
@@ -230,16 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # output
 
-def _render_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
+# The CSV text of each cell type, looked up on the exact type: numpy scalars
+# and other look-alikes are rejected rather than coerced.
+_CELL_TEXT = {
+    type(None): lambda value: "",
+    bool: lambda value: "true" if value else "false",
+    int: str,
+    float: "{:.17g}".format,
+    str: str,
+}
 
 
 def _write_text(path: str, text: str) -> None:
@@ -252,54 +253,40 @@ def _write_text(path: str, text: str) -> None:
 def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list[str]:
     """Write one table plus its metadata record; returns the written paths.
 
+    Cells must be native Python values: None, bool, int, float or str.  Any
+    other type, a numpy scalar included, raises TypeError naming its column.
     CSV: header row, '.' decimal separator, floats at 17 significant
     digits, None as the empty cell, booleans as true/false; metadata goes
     to a {path}.meta.json sidecar.  JSON: one object nesting metadata, the
     schema, and a rows array.  Both renderings are byte-stable for fixed
     inputs.
     """
-    rows = [list(row) for row in rows]
+    rows = list(rows)
     for row in rows:
         if len(row) != len(schema):
             raise ValueError("schema does not match row width")
+    if out_format not in ("csv", "json"):
+        raise UsageError(f"out must be csv or json, got {out_format!r}")
+    if not set(map(type, chain.from_iterable(rows))) <= _CELL_TEXT.keys():
+        name, kind = next((name, type(cell)) for row in rows for name, cell in zip(schema, row)
+                          if type(cell) not in _CELL_TEXT)
+        raise TypeError(f"column {name!r} holds a cell of type {kind.__name__}; "
+                        "cells must be None, bool, int, float or str")
     if out_format == "csv":
         lines = [",".join(schema)]
-        lines += [",".join(_render_cell(cell) for cell in row) for row in rows]
+        lines += [",".join([_CELL_TEXT[type(cell)](cell) for cell in row]) for row in rows]
         _write_text(path, "\n".join(lines) + "\n")
         sidecar = path + ".meta.json"
         _write_text(sidecar, json.dumps(metadata, sort_keys=True, indent=2) + "\n")
         return [path, sidecar]
-    if out_format == "json":
-        payload = {
-            "metadata": metadata,
-            "schema": list(schema),
-            "rows": [[_json_cell(cell) for cell in row] for row in rows],
-        }
-        _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return [path]
-    raise UsageError(f"out must be csv or json, got {out_format!r}")
-
-
-def _json_cell(value):
-    if value is None or isinstance(value, (bool, str)):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return str(value)
+    payload = {"metadata": metadata, "schema": list(schema), "rows": rows}
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return [path]
 
 
 def _metadata(cfg: dict) -> dict:
-    echo = {}
-    for key, value in cfg.items():
-        if isinstance(value, tuple):
-            value = list(value)
-        echo[key] = _json_cell(value) if not isinstance(value, list) else [
-            _json_cell(v) for v in value
-        ]
     return {
-        "config": echo,
+        "config": {key: list(v) if isinstance(v, tuple) else v for key, v in cfg.items()},
         "versions": {
             "mgapprox": __version__,
             "numpy": np.__version__,
@@ -318,13 +305,16 @@ def _stem(cfg: dict) -> str:
     return stem
 
 
-def _emit(cfg: dict, table: str, schema, rows) -> list[str]:
-    path = f"{_stem(cfg)}_{table}.{cfg['out']}"
-    return emit_table(rows, schema, cfg["out"], path, _metadata(cfg))
-
-
 # ---------------------------------------------------------------------------
 # commands
+#
+# Each command returns its tables as (name, schema, rows) and writes nothing;
+# main writes them once every table is computed.
+
+def _table(name: str, **columns: list) -> tuple:
+    """A (name, schema, rows) table zipped from equal-length named columns."""
+    return name, list(columns), list(zip(*columns.values(), strict=True))
+
 
 def _build_series(cfg):
     kind = cfg["kind"]
@@ -346,49 +336,45 @@ def _blaschke_spec(cfg) -> BlaschkeSpec:
     raise UsageError(f"rule must be dyadic or power, got {rule!r}")
 
 
-def _cmd_inner(cfg) -> list[str]:
+def _cmd_inner(cfg) -> list[tuple]:
     series = _build_series(cfg)
     profile = cesaro_profile(series)
-    singular = cfg["kind"] == "singular"
-    rows = []
-    for n in range(series.order + 1):
-        rows.append([
-            n,
-            float(series.coeffs[n]),
-            float(profile.partial_sums[n]),
-            float(profile.cesaro_means[n - 1]) if n >= 1 else None,
-            float(newman_shapiro_main_term(cfg["a"], n)) if singular and n >= 1 else None,
-        ])
-    return _emit(cfg, "series", ["n", "a_n", "A_n", "M_n", "main_term"], rows)
+    order = series.order
+    main_term = [None] * (order + 1)
+    if cfg["kind"] == "singular":
+        main_term[1:] = [newman_shapiro_main_term(cfg["a"], n) for n in range(1, order + 1)]
+    return [_table(
+        "series",
+        n=list(range(order + 1)),
+        a_n=series.coeffs.tolist(),
+        A_n=profile.partial_sums.tolist(),
+        M_n=[None, *profile.cesaro_means.tolist()],
+        main_term=main_term,
+    )]
 
 
-def _cmd_cesaro(cfg) -> list[str]:
+def _cmd_cesaro(cfg) -> list[tuple]:
     series = _build_series(cfg)
     profile = cesaro_profile(series)
-    rows = [
-        [n, float(profile.partial_sums[n]), float(profile.cesaro_means[n - 1])]
-        for n in range(1, series.order + 1)
-    ]
-    return _emit(cfg, "cesaro", ["n", "partial_sum", "cesaro_mean"], rows)
+    return [_table(
+        "cesaro",
+        n=list(range(1, series.order + 1)),
+        partial_sum=profile.partial_sums[1:].tolist(),
+        cesaro_mean=profile.cesaro_means.tolist(),
+    )]
 
 
-def _cmd_gap(cfg) -> list[str]:
+def _cmd_gap(cfg) -> list[tuple]:
     series = _build_series(cfg)
-    rows = []
-    for n in cfg["horizons"]:
-        if cfg["c"] is None:
-            report = best_scalar_gap(series, n)
-        else:
-            report = approximation_gap(series, cfg["c"], n)
-        rows.append([
-            report.n, report.c, report.sum_norm_sq, report.cross,
-            report.gap_sq, report.c_star, report.min_gap_sq,
-        ])
+    if cfg["c"] is None:
+        reports = [best_scalar_gap(series, n) for n in cfg["horizons"]]
+    else:
+        reports = [approximation_gap(series, cfg["c"], n) for n in cfg["horizons"]]
     schema = ["n", "c", "sum_norm_sq", "cross", "gap_sq", "c_star", "min_gap_sq"]
-    return _emit(cfg, "gap", schema, rows)
+    return [("gap", schema, [[getattr(rep, key) for key in schema] for rep in reports])]
 
 
-def _cmd_prop6(cfg) -> list[str]:
+def _cmd_prop6(cfg) -> list[tuple]:
     lo, hi = cfg["n_range"]
     k_max = cfg["k_max"]
     if lo < 1 or hi + 1 > k_max:
@@ -402,16 +388,16 @@ def _cmd_prop6(cfg) -> list[str]:
         rows.append([
             level, rep.r, rep.p1, rep.p2, rep.p3, rep.p4, rep.product,
             rep.c_bound, zero_val,
-            bool(rep.p1 >= rep.c_bound), bool(rep.p2 >= 0.125),
-            bool(rep.p3 >= 0.125), bool(rep.p4 >= rep.c_bound),
-            bool(rep.product >= floor), bool(zero_val == 0.0),
+            rep.p1 >= rep.c_bound, rep.p2 >= 0.125,
+            rep.p3 >= 0.125, rep.p4 >= rep.c_bound,
+            rep.product >= floor, zero_val == 0.0,
         ])
     schema = [
         "level", "r", "p1", "p2", "p3", "p4", "product", "c_bound",
         "value_at_zero", "p1_ok", "p2_ok", "p3_ok", "p4_ok",
         "product_ok", "zero_ok",
     ]
-    return _emit(cfg, "bounds", schema, rows)
+    return [("bounds", schema, rows)]
 
 
 def _floor_rule(text: str):
@@ -429,7 +415,7 @@ def _floor_rule(text: str):
 _DECADES = tuple(10**j for j in range(7))
 
 
-def _cmd_prop3(cfg) -> list[str]:
+def _cmd_prop3(cfg) -> list[tuple]:
     if cfg["K"] < 2:
         raise UsageError("K must be >= 2")
     rule = _floor_rule(cfg["b_rule"])
@@ -437,36 +423,28 @@ def _cmd_prop3(cfg) -> list[str]:
     for level in range(1, params.level_count + 1):
         decoding_table(params, level)  # raises if any interval check fails
 
-    phis = [int(m) for m in params.phi]
-    if cfg["horizons"] is None:
-        cfg = dict(cfg)
-        cfg["horizons"] = tuple(sorted(set(_DECADES) | set(phis)))
+    columns = {key: getattr(params, key).tolist()
+               for key in ("p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi")}
+    tables = [_table("params", level=list(range(1, params.level_count + 1)), **columns)]
 
-    written = []
-    rows = [
-        [lvl + 1, float(params.p[lvl]), float(params.rho[lvl]), phis[lvl],
-         float(params.log_q[lvl]), float(params.log_r[lvl]),
-         float(params.log_s[lvl]), float(params.b_at_phi[lvl])]
-        for lvl in range(params.level_count)
-    ]
-    schema = ["level", "p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi"]
-    written += _emit(cfg, "params", schema, rows)
-
-    phi_set = set(phis)
+    phi_set = set(columns["phi"])
+    if cfg["horizons"] is None:  # the derived default is echoed in the metadata
+        cfg["horizons"] = tuple(sorted(set(_DECADES) | phi_set))
     rows = []
     for n in cfg["horizons"]:
         lagged = residual_norm_sq_lagged(params, n)
         natural = residual_norm_sq_natural(params, n)
-        floor = n * float(rule(n)) ** 2
+        floor = n * rule(n) ** 2
+        synth = n in phi_set
         rows.append([
-            n, bool(n in phi_set), lagged, natural, floor,
-            bool(lagged <= 1.0), bool(natural >= floor) if n in phi_set else None,
+            n, synth, lagged, natural, floor,
+            lagged <= 1.0, natural >= floor if synth else None,
         ])
     schema = [
         "n", "is_synth_horizon", "lagged_sq", "natural_sq", "n_floor_sq",
         "lagged_le_one", "natural_ge_floor",
     ]
-    written += _emit(cfg, "norms", schema, rows)
+    tables.append(("norms", schema, rows))
 
     report = simulate_and_decode(params, cfg["samples"], cfg["seed"])
     rows = [[
@@ -479,21 +457,16 @@ def _cmd_prop3(cfg) -> list[str]:
         "samples", "recovered", "failures", "boundary_hits",
         "suppressed_levels", "nonzero_draws", "miss_probability", "seed",
     ]
-    written += _emit(cfg, "decode", schema, rows)
-    return written
+    tables.append(("decode", schema, rows))
+    return tables
 
 
-def _cmd_prop2(cfg) -> list[str]:
+def _cmd_prop2(cfg) -> list[tuple]:
     depth = cfg["depth"]
     if not 1 <= depth <= 6:
         raise UsageError("depth must lie in 1..6")
     model = ExactModel.build(depth)
     norms = martingale_difference_norms(model)
-    written = _emit(
-        cfg, "md_norms", ["k", "norm"],
-        [[k, norms[k]] for k in sorted(norms)],
-    )
-
     total = hannan_sum(model)
     analytic = math.sqrt(5.0 + sum(9.0 ** -(2 * i + 1) for i in range(1, depth + 1))) + 0.125
     projection = remote_past_projection(model)
@@ -517,8 +490,10 @@ def _cmd_prop2(cfg) -> list[str]:
         "remote_norm", "matches_e0", "matches_two_e0",
         "decode_patterns", "decode_ok",
     ]
-    written += _emit(cfg, "summary", schema, rows)
-    return written
+    return [
+        ("md_norms", ["k", "norm"], [[k, norms[k]] for k in sorted(norms)]),
+        ("summary", schema, rows),
+    ]
 
 
 _COMMANDS = {
@@ -539,8 +514,12 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
         cfg = _resolve(args.command, args)
-        for path in _COMMANDS[args.command](cfg):
-            print(path)
+        tables = _COMMANDS[args.command](cfg)
+        metadata = _metadata(cfg)
+        stem, ext = _stem(cfg), cfg["out"]
+        for name, schema, rows in tables:
+            for path in emit_table(rows, schema, ext, f"{stem}_{name}.{ext}", metadata):
+                print(path)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

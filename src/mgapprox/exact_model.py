@@ -60,7 +60,7 @@ class ExactModel:
     signs: np.ndarray  # (2^V, V) int8, entries +-1
     digit: np.ndarray  # (2^V,) float64
     observable: np.ndarray  # (2^V,) float64
-    _col: dict = field(repr=False, default_factory=dict)
+    _col: dict = field(repr=False)
 
     @classmethod
     def build(cls, depth: int, extra_carriers: tuple[int, ...] = ()) -> "ExactModel":
@@ -78,18 +78,15 @@ class ExactModel:
         signs = (((idx[:, None] >> np.arange(v)) & 1) * 2 - 1).astype(np.int8)
         weights = np.array([_digit_weight(lab, depth) for lab in labels])
         digit = 1.0 + signs.astype(np.float64) @ weights
-        model = cls(
+        col = {lab: signs[:, j].astype(np.float64) for j, lab in enumerate(labels)}
+        return cls(
             depth=depth,
             labels=labels,
             signs=signs,
             digit=digit,
-            observable=np.empty(0),
+            observable=col[("f", 0)] * digit + 2.0 * col[("e", 0)],
+            _col=col,
         )
-        col = {lab: signs[:, j].astype(np.float64) for j, lab in enumerate(labels)}
-        object.__setattr__(model, "_col", col)
-        observable = col[("f", 0)] * digit + 2.0 * col[("e", 0)]
-        object.__setattr__(model, "observable", observable)
-        return model
 
     def column(self, label: Label) -> np.ndarray:
         if label not in self._col:

@@ -123,7 +123,7 @@ class BlaschkeSpec:
         if count < 1:
             raise ValueError("need at least one zero")
         k = np.arange(1, count + 1, dtype=float)
-        return cls(1.0 - np.exp2(-k), rule="dyadic")
+        return cls(_below_one(1.0 - np.exp2(-k), "dyadic"), rule="dyadic")
 
     @classmethod
     def power(cls, alpha: float, count: int) -> "BlaschkeSpec":
@@ -135,7 +135,20 @@ class BlaschkeSpec:
         if count < 1:
             raise ValueError("need at least one zero")
         k = np.arange(1, count + 1, dtype=float)
-        return cls(1.0 - k**-alpha, rule=f"power({alpha})")
+        rule = f"power({alpha})"
+        return cls(_below_one(1.0 - k**-alpha, rule), rule=rule)
+
+
+def _below_one(zeros: np.ndarray, rule: str) -> np.ndarray:
+    """The zeros of a rule, which increase with k; raises when one rounds to 1."""
+    at_one = np.flatnonzero(zeros >= 1.0)
+    if at_one.size:
+        k = int(at_one[0]) + 1
+        raise ValueError(
+            f"{rule} zero k={k} rounds to 1.0 in double precision; "
+            f"at most {k - 1} zeros of this rule are representable"
+        )
+    return zeros
 
 
 def blaschke_factor_coeffs(z0: float, n: int) -> CoefficientSeries:

@@ -10,6 +10,7 @@ paths are provided for cross-checking the exact formulas.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -131,8 +132,15 @@ def _report(series: CoefficientSeries, n: int, c: float | None) -> GapReport:
 
 
 def approximation_gap(series: CoefficientSeries, c: float, n: int) -> GapReport:
-    """Normalized squared window distance ||sum_{j<n} (X_j - c e_j)||^2 / n."""
-    return _report(series, n, float(c))
+    """Normalized squared window distance ||sum_{j<n} (X_j - c e_j)||^2 / n.
+
+    Raises ValueError when the gap overflows binary64 (|c| above about
+    1.3e154 makes c*c infinite).
+    """
+    report = _report(series, n, float(c))
+    if not math.isfinite(report.gap_sq):
+        raise ValueError(f"gap_sq is not finite for c={report.c!r} at n={report.n}")
+    return report
 
 
 def best_scalar_gap(series: CoefficientSeries, n: int) -> GapReport:

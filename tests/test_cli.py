@@ -7,11 +7,19 @@ does, which keeps the adapter thin by construction.
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgapprox import InvariantViolation, dyadic_midpoint_report, hannan_sum
 from mgapprox.cli import OUT_DIR_ENV, UsageError, emit_table, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +38,79 @@ def read(path):
         return fh.read()
 
 
+# The per-cell renderers emit_table used before it took native cells only,
+# kept as the oracle for the CSV and JSON bytes.
+def _render_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _json_cell(value):
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    return str(value)
+
+
+def reference_bytes(rows, schema, out_format, metadata) -> bytes:
+    if out_format == "csv":
+        lines = [",".join(schema)]
+        lines += [",".join(_render_cell(cell) for cell in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode()
+    payload = {
+        "metadata": metadata,
+        "schema": list(schema),
+        "rows": [[_json_cell(cell) for cell in row] for row in rows],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+NATIVE_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",")),
+)
+
+
 class TestEmitTable:
+    @settings(deadline=None, max_examples=100)
+    @given(
+        width=st.integers(1, 4),
+        cells=st.lists(NATIVE_CELLS, max_size=24),
+        out_format=st.sampled_from(["csv", "json"]),
+    )
+    @example(width=3, cells=[0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1.5],
+             out_format="csv")
+    @example(width=3, cells=[0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1.5],
+             out_format="json")
+    def test_bytes_match_the_per_cell_oracle(self, width, cells, out_format):
+        rows = [cells[i:i + width] for i in range(0, len(cells) - width + 1, width)]
+        schema = [f"c{j}" for j in range(width)]
+        metadata = {"config": {"horizons": [1, 10]}}
+        path = f"t.{out_format}"
+        emit_table(rows, schema, out_format, path, metadata)
+        assert read(path) == reference_bytes(rows, schema, out_format, metadata)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("cell", [np.int64(3), np.float64(0.5)], ids=["int64", "float64"])
+    def test_numpy_scalar_cell_rejected(self, cell, out_format):
+        rows = [[1, 0.5], [2, cell]]
+        with pytest.raises(TypeError, match=f"column 'x' holds a cell of type {type(cell).__name__};"):
+            emit_table(rows, ["n", "x"], out_format, f"t.{out_format}", {})
+        assert os.listdir() == []
+
     def test_csv_rendering(self, tmp_path):
         rows = [[1, 0.5, None, True, "x"], [2, -1.0, 3.0, False, "y"]]
         paths = emit_table(
@@ -271,8 +351,52 @@ class TestExitStatus:
         assert run("prop6") == 1
         assert "RuntimeError" in capsys.readouterr().err
 
+    def test_gap_overflow_writes_nothing(self, capsys):
+        assert run("gap", "--trunc", "10", "--horizons", "5", "--c", "1e308") == 1
+        assert "gap_sq is not finite for c=1e+308 at n=5" in capsys.readouterr().err
+        assert os.listdir() == []
+
+    @pytest.mark.parametrize("argv, first", [
+        (("inner", "--kind", "blaschke", "--factors", "54"), 54),
+        (("gap", "--kind", "blaschke", "--rule", "power", "--alpha", "10",
+          "--factors", "43"), 43),
+        (("prop6", "--k-max", "54"), 54),
+    ], ids=["inner-dyadic", "gap-power", "prop6"])
+    def test_zero_rounding_to_one_names_the_count(self, argv, first, capsys):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"k={first} rounds to 1.0" in err and f"at most {first - 1} zeros" in err
+        assert os.listdir() == []
+
+    def test_failed_command_writes_no_table(self, monkeypatch, capsys):
+        def boom(params, samples, seed=0):
+            raise InvariantViolation("forced after the params and norms tables")
+
+        monkeypatch.setattr("mgapprox.cli.simulate_and_decode", boom)
+        assert run("prop3", "--K", "2") == 3
+        assert "invariant violation" in capsys.readouterr().err
+        assert os.listdir() == []
+
     def test_wall_time_on_stderr_only(self, capsys):
         assert run("inner", "--trunc", "2") == 0
         captured = capsys.readouterr()
         assert "# wall_time_s=" in captured.err
         assert "wall_time" not in captured.out
+
+
+def test_traced_run_counts_rows(tmp_path):
+    """perfbench/tracer.py patches names on mgapprox.cli; a traced run must
+    still write its table and count its rows."""
+    spans = tmp_path / "spans.json"
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(out)})
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
+         "inner", "--trunc", "3"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(spans.read_text())
+    assert "cli.emit_table.csv" in summary["spans"]
+    assert summary["counts"]["cli.rows"] == 4
+    assert (out / "inner_series.csv").exists()

@@ -147,6 +147,15 @@ class TestBlaschkeSpec:
         with pytest.raises(ValueError):
             BlaschkeSpec.power(0.0, 4)
 
+    @pytest.mark.parametrize("build, first", [
+        (BlaschkeSpec.dyadic, 54),  # 1 - 2^-54 rounds to 1.0
+        (lambda count: BlaschkeSpec.power(10.0, count), 43),  # 1 - 43^-10 does too
+    ], ids=["dyadic", "power"])
+    def test_zero_rounding_to_one_names_the_count(self, build, first):
+        assert build(first - 1).zeros[-1] < 1.0
+        with pytest.raises(ValueError, match=f"k={first} rounds to 1.0.* at most {first - 1} "):
+            build(first)
+
 
 class TestBlaschkeProduct:
     def test_single_zero_equals_factor(self):

@@ -1,6 +1,7 @@
 """Window-sum gap reports, closed forms against brute force, and sampling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,12 @@ class TestGapReports:
             assert rep.gap_sq == 0.0
             assert rep.c_star == 1.0
             assert rep.min_gap_sq == 0.0
+
+    def test_overflowing_scalar_rejected(self):
+        assert math.isfinite(approximation_gap(DELTA, 1e154, 5).gap_sq)
+        for c in (1e308, -1e200):
+            with pytest.raises(ValueError, match=re.escape(f"not finite for c={c!r} at n=5")):
+                approximation_gap(DELTA, c, 5)
 
     def test_two_tap_closed_forms(self):
         for n in (1, 2, 5, 50):
