@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from itertools import chain, product as iter_product
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from . import __version__
@@ -290,7 +289,6 @@ def _metadata(cfg: dict) -> dict:
         "versions": {
             "mgapprox": __version__,
             "numpy": np.__version__,
-            "mpmath": mpmath.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
         },
     }

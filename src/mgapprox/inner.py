@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -122,8 +123,7 @@ class BlaschkeSpec:
         """Zeros z_k = 1 - 2^-k for k = 1..count."""
         if count < 1:
             raise ValueError("need at least one zero")
-        k = np.arange(1, count + 1, dtype=float)
-        return cls(_below_one(1.0 - np.exp2(-k), "dyadic"), rule="dyadic")
+        return cls(_zeros_below_one(lambda k: 1.0 - np.exp2(-k), count, "dyadic"), rule="dyadic")
 
     @classmethod
     def power(cls, alpha: float, count: int) -> "BlaschkeSpec":
@@ -134,21 +134,33 @@ class BlaschkeSpec:
             raise ValueError("alpha must be positive")
         if count < 1:
             raise ValueError("need at least one zero")
-        k = np.arange(1, count + 1, dtype=float)
         rule = f"power({alpha})"
-        return cls(_below_one(1.0 - k**-alpha, rule), rule=rule)
+        return cls(_zeros_below_one(lambda k: 1.0 - k**-alpha, count, rule), rule=rule)
 
 
-def _below_one(zeros: np.ndarray, rule: str) -> np.ndarray:
-    """The zeros of a rule, which increase with k; raises when one rounds to 1."""
-    at_one = np.flatnonzero(zeros >= 1.0)
-    if at_one.size:
-        k = int(at_one[0]) + 1
+def _zeros_below_one(
+    zero: Callable[[np.ndarray], np.ndarray], count: int, rule: str
+) -> np.ndarray:
+    """The zeros ``zero(k)`` for k = 1..count, which increase with k; raises
+    when one rounds to 1, before building the array.  The last zero is
+    checked alone, and the first one at 1 is found by bisection."""
+
+    def at_one(k: int) -> bool:
+        return bool(zero(np.array([k], dtype=float))[0] >= 1.0)
+
+    if at_one(count):
+        lo, hi = 0, count  # zero(lo) < 1 <= zero(hi), with k = 0 a sentinel
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if at_one(mid):
+                hi = mid
+            else:
+                lo = mid
         raise ValueError(
-            f"{rule} zero k={k} rounds to 1.0 in double precision; "
-            f"at most {k - 1} zeros of this rule are representable"
+            f"{rule} zero k={hi} rounds to 1.0 in double precision; "
+            f"at most {hi - 1} zeros of this rule are representable"
         )
-    return zeros
+    return zero(np.arange(1, count + 1, dtype=float))
 
 
 def blaschke_factor_coeffs(z0: float, n: int) -> CoefficientSeries:

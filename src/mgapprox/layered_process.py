@@ -17,19 +17,30 @@ the nine possible (E, D) sign pairs shift the value into nine disjoint
 intervals of half-width r_{k-1}.  Magnitudes overflow binary64 near level
 40; q, r, s are therefore kept as natural logs, and those stored logs are
 the only representation of the scales.  The nine centers of a level are
-built from them once, in arbitrary precision sized to the dynamic range,
-by one helper that both the decoding tables and the encoder/decoder use.
+built from them once, in decimal arithmetic with a precision sized to the
+dynamic range, by one helper that both the decoding tables and the
+encoder/decoder use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MIN_EMIN,
+    ROUND_HALF_EVEN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from functools import lru_cache
 from itertools import product
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from .errors import InvariantViolation
@@ -75,10 +86,35 @@ def power_rule(beta: float) -> Callable[[int], float]:
     return lambda n: float(n) ** -beta
 
 
+def _context(prec: int) -> Context:
+    # every field set here, so the caller's decimal settings never leak in
+    return Context(
+        prec=prec,
+        rounding=ROUND_HALF_EVEN,
+        Emin=MIN_EMIN,
+        Emax=MAX_EMAX,
+        traps=[InvalidOperation, DivisionByZero, Overflow],
+    )
+
+
+# Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator)
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
+
+
 @lru_cache(maxsize=None)
 def _tail_inverse_squares(j: int) -> float:
-    # sum_{k > j} 1/k^2, analytically (trigamma at j+1)
-    return float(mpmath.psi(1, j + 1))
+    """sum_{k > j} 1/k^2, the trigamma function at j + 1: the terms k < j + 20
+    directly, the rest by the Euler-Maclaurin series at m = j + 20,
+    psi_1(m) ~ 1/m + 1/(2 m^2) + sum_i B_2i / m^(2i+1), in 40 digits."""
+    m = j + 20
+    with localcontext(_context(40)):
+        head = sum(1 / Decimal(k * k) for k in range(j + 1, m))
+        inv = 1 / Decimal(m)
+        series = inv + inv * inv / 2 + sum(
+            Decimal(num) / den * inv ** (2 * i + 1)
+            for i, (num, den) in enumerate(_BERNOULLI, 1)
+        )
+        return float(head + series)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +313,7 @@ def residual_norm_sq_natural(params: LayerParams, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decoding centers, tables and the arbitrary-precision encode/decode
+# decoding centers, tables and the decimal encode/decode
 
 _OUTCOMES = tuple(product((-1, 0, 1), repeat=2))  # lexicographic (sx, sy)
 
@@ -291,7 +327,7 @@ def _working_dps(params: LayerParams, guard_digits: int = 30) -> int:
 def _level_centers(params: LayerParams, level: int, dps: int):
     """The nine decoding centers of one level, as ``(outcome, center)`` pairs
     in lexicographic outcome order, and the level's half-width r_{l-1}
-    (zero at level 1), all mpf at ``dps`` digits.
+    (zero at level 1), all Decimal at ``dps`` digits.
 
     Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s), read off
     the stored logs.  They must match their s/r compositions: the sy = 0
@@ -305,12 +341,12 @@ def _level_centers(params: LayerParams, level: int, dps: int):
     log_s = float(params.log_s[level - 1])
     if level >= 2 and not log_s - float(params.log_r[level - 2]) > math.log(100.0):
         raise InvariantViolation(f"scale separation fails at level {level}")
-    with mpmath.workdps(dps):
-        rho = mpmath.mpf(float(params.rho[level - 1]))
-        s = mpmath.exp(log_s)
-        half = mpmath.exp(float(params.log_r[level - 2])) if level >= 2 else mpmath.mpf(0)
+    with localcontext(_context(dps)):
+        rho = Decimal(float(params.rho[level - 1]))
+        s = Decimal(log_s).exp()
+        half = Decimal(float(params.log_r[level - 2])).exp() if level >= 2 else Decimal(0)
         lag, lead = rho * s, (1 + rho) * s
-        tol = 1e-12 * max(1.0, abs(log_s))
+        tol = Decimal(1e-12 * max(1.0, abs(log_s)))
         if level >= 2 and not abs(lag - 10 * half) <= tol * 10 * half:
             raise InvariantViolation(f"center composition mismatch at level {level}")
         cells = [((sx, sy), sx * lag - sy * lead) for sx, sy in _OUTCOMES]
@@ -361,19 +397,20 @@ def decoding_table(params: LayerParams, level: int) -> DecodingTable:
     if not 1 <= level <= params.level_count:
         raise ValueError(f"level must lie in [1, {params.level_count}]")
     cells, half = _level_centers(params, level, _working_dps(params))
+    context = _context(40)  # the logs are rounded to binary64 once, from 40 digits
     return DecodingTable(
         level=level,
         cells=tuple(
             TableCell(
                 outcome=outcome,
-                sign=int(mpmath.sign(center)),
-                log_abs=float(mpmath.log(abs(center))),
+                sign=(center > 0) - (center < 0),
+                log_abs=float(center.copy_abs().ln(context)),
                 value=float(center),
             )
             for outcome, center in cells
         ),
         half_width=float(half),
-        log_half_width=float(mpmath.log(half)),
+        log_half_width=float(half.ln(context)),
     )
 
 
@@ -390,7 +427,7 @@ class DecodedSample:
 
 
 class LayerCodec:
-    """Arbitrary-precision encoder/decoder for level outcomes.
+    """Decimal encoder/decoder for level outcomes.
 
     Working precision is sized to the construction's dynamic range plus
     guard digits.  Centers and half-widths come from the same per-level
@@ -405,16 +442,18 @@ class LayerCodec:
     def __init__(self, params: LayerParams, guard_digits: int = 30):
         self.params = params
         self.dps = _working_dps(params, guard_digits)
+        self._context = _context(self.dps)
         levels = [
             _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
         ]
         # the silent outcome decodes most samples; test it first
         self._centers = [sorted(cells, key=lambda cell: cell[0] != (0, 0)) for cells, _ in levels]
         self._reach = [half for _, half in levels[1:]]  # _reach[l - 2] = r_{l-1}
-        self._level_one_tol = mpmath.mpf(float(params.rho[0])) / 4  # exact
+        self._level_one_tol = self._context.divide(Decimal(float(params.rho[0])), 4)
 
-    def encode(self, x_signs, y_signs) -> mpmath.mpf:
-        """Exact value of the time-zero sum for explicit level outcomes."""
+    def encode(self, x_signs, y_signs) -> Decimal:
+        """Value of the time-zero sum for explicit level outcomes, as a Decimal
+        at the codec's working precision."""
         k = self.params.level_count
         x_signs = tuple(int(s) for s in x_signs)
         y_signs = tuple(int(s) for s in y_signs)
@@ -422,7 +461,7 @@ class LayerCodec:
             raise ValueError("need one sign per level for both draws")
         if not set(x_signs) | set(y_signs) <= {-1, 0, 1}:
             raise ValueError("signs must be -1, 0 or +1")
-        with mpmath.workdps(self.dps):
+        with localcontext(self._context):
             terms = []
             for lvl in range(1, k + 1):
                 want = (x_signs[lvl - 1], y_signs[lvl - 1])
@@ -430,22 +469,29 @@ class LayerCodec:
                     if outcome == want:
                         terms.append(center)
                         break
-            return mpmath.fsum(terms)
+            return sum(terms)
 
     def decode(self, value) -> DecodedSample:
         """Read all level outcomes off a value, top level first.
 
-        At level l >= 2 the value must fall strictly inside one of the nine
-        intervals of half-width r_{l-1}; hitting an endpoint exactly is
-        reported as a boundary outcome, matching nothing as a failure.
-        Level 1 matches the nearest of its nine isolated centers within a
-        quarter of their minimal spacing.
+        ``value`` is an int, float, str or Decimal, converted exactly; NaN,
+        +-inf and malformed strings raise ValueError.  At level l >= 2 the
+        value must fall strictly inside one of the nine intervals of
+        half-width r_{l-1}; hitting an endpoint exactly is reported as a
+        boundary outcome, matching nothing as a failure.  Level 1 matches
+        the nearest of its nine isolated centers within a quarter of their
+        minimal spacing.
         """
         k = self.params.level_count
         xs = [0] * k
         ys = [0] * k
-        with mpmath.workdps(self.dps):
-            residual = mpmath.mpf(value)
+        with localcontext(self._context):
+            try:
+                residual = Decimal(value)
+            except InvalidOperation as exc:
+                raise ValueError(f"cannot decode {value!r}: not a number") from exc
+            if not residual.is_finite():
+                raise ValueError(f"cannot decode the non-finite value {value!r}")
             for lvl in range(k, 1, -1):
                 half = self._reach[lvl - 2]
                 hit = None

@@ -361,7 +361,8 @@ class TestExitStatus:
         (("gap", "--kind", "blaschke", "--rule", "power", "--alpha", "10",
           "--factors", "43"), 43),
         (("prop6", "--k-max", "54"), 54),
-    ], ids=["inner-dyadic", "gap-power", "prop6"])
+        (("inner", "--kind", "blaschke", "--factors", "1000000000"), 54),
+    ], ids=["inner-dyadic", "gap-power", "prop6", "inner-dyadic-1e9"])
     def test_zero_rounding_to_one_names_the_count(self, argv, first, capsys):
         assert run(*argv) == 1
         err = capsys.readouterr().err
@@ -400,3 +401,14 @@ def test_traced_run_counts_rows(tmp_path):
     assert "cli.emit_table.csv" in summary["spans"]
     assert summary["counts"]["cli.rows"] == 4
     assert (out / "inner_series.csv").exists()
+
+
+def test_cli_import_leaves_mpmath_out():
+    """mpmath is a test oracle only; the package must not import it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mgapprox.cli; print('mpmath' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,7 +1,9 @@
 """Layered spike construction: synthesis, residual norms, tables, codec."""
 
+import decimal
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import mpmath
@@ -23,8 +25,24 @@ from mgapprox import (
     simulate_level_one_variance,
     synthesize_layer_params,
 )
+from mgapprox.layered_process import _tail_inverse_squares, _working_dps
 
 DECADES = tuple(10**j for j in range(7))
+OUTCOMES = list(itertools.product((-1, 0, 1), repeat=2))
+
+
+def forced_firings(level_count):
+    """Sign vectors that force each level in turn to each of its eight
+    non-silent outcomes, twice, while every other level draws uniformly
+    from all nine (seeded by the level count)."""
+    firing = [pair for pair in OUTCOMES if pair != (0, 0)]
+    rng = np.random.default_rng(level_count)
+    for level in range(level_count):
+        for pair in firing:
+            for _ in range(2):
+                combo = [OUTCOMES[i] for i in rng.integers(0, 9, size=level_count)]
+                combo[level] = pair
+                yield tuple(sx for sx, _ in combo), tuple(sy for _, sy in combo)
 
 
 class TestSynthesis:
@@ -85,6 +103,12 @@ class TestSynthesis:
         for j in range(1, 9):
             tail = math.pi**2 / 6.0 - math.fsum(1.0 / k**2 for k in range(1, j + 1))
             assert 2.0 * tail > pr.b_at_phi[j - 1] ** 2
+
+    def test_tail_matches_the_mpmath_trigamma(self):
+        mismatched = [
+            j for j in range(1, 3001) if _tail_inverse_squares(j) != float(mpmath.psi(1, j + 1))
+        ]
+        assert mismatched == []
 
     def test_level_count_validation(self):
         with pytest.raises(ValueError):
@@ -197,6 +221,25 @@ class TestDecodingTables:
                 want = s * (rho * sx - (1.0 + rho) * sy)
                 assert cell.value == pytest.approx(want, rel=1e-12, abs=1e-12)
 
+    def test_tables_match_the_mpmath_construction(self, layer_params_k24):
+        # the mpf centers the decimal builder replaced, at the same precision
+        pr = layer_params_k24
+        tables = [decoding_table(pr, level) for level in range(1, pr.level_count + 1)]
+        with mpmath.workdps(_working_dps(pr)):
+            for level, table in enumerate(tables, 1):
+                rho = mpmath.mpf(float(pr.rho[level - 1]))
+                s = mpmath.exp(float(pr.log_s[level - 1]))
+                half = mpmath.exp(float(pr.log_r[level - 2])) if level >= 2 else mpmath.mpf(0)
+                lag, lead = rho * s, (1 + rho) * s
+                for cell, (sx, sy) in zip(table.cells, OUTCOMES, strict=True):
+                    center = sx * lag - sy * lead
+                    assert cell.outcome == (sx, sy)
+                    assert cell.value == float(center)
+                    assert cell.sign == int(mpmath.sign(center))
+                    assert cell.log_abs == float(mpmath.log(abs(center)))
+                assert table.half_width == float(half)
+                assert table.log_half_width == float(mpmath.log(half))
+
     def test_intervals_disjoint_in_floats(self, layer_params_k4):
         pr = layer_params_k4
         for level in (2, 3, 4):
@@ -260,7 +303,7 @@ class TestLayerCodec:
 
     def test_unmatched_value_reported(self, layer_params_k4):
         codec = LayerCodec(layer_params_k4)
-        with mpmath.workdps(codec.dps):
+        with decimal.localcontext(decimal.Context(prec=codec.dps)):
             value = 2 * codec._reach[2]
         out = codec.decode(value)
         assert not out.ok and not out.boundary and out.fail_level == 4
@@ -281,23 +324,40 @@ class TestLayerCodec:
     def test_every_level_round_trips_when_forced_to_fire(
         self, layer_params_k8, layer_params_k24, level_count
     ):
-        # Sampled draws almost never fire above level 1, so force level l to
-        # each of its eight non-silent outcomes in turn while every other
-        # level draws uniformly from all nine.
+        # sampled draws almost never fire above level 1
         params = {8: layer_params_k8, 24: layer_params_k24}[level_count]
         codec = LayerCodec(params)
-        outcomes = list(itertools.product((-1, 0, 1), repeat=2))
-        firing = [pair for pair in outcomes if pair != (0, 0)]
-        rng = np.random.default_rng(level_count)
-        for level in range(level_count):
-            for pair in firing:
-                for _ in range(2):
-                    combo = [outcomes[i] for i in rng.integers(0, 9, size=level_count)]
-                    combo[level] = pair
-                    xs = tuple(sx for sx, _ in combo)
-                    ys = tuple(sy for _, sy in combo)
-                    out = codec.decode(codec.encode(xs, ys))
-                    assert out.ok and out.x_signs == xs and out.y_signs == ys, (level + 1, combo)
+        for xs, ys in forced_firings(level_count):
+            out = codec.decode(codec.encode(xs, ys))
+            assert out.ok and out.x_signs == xs and out.y_signs == ys, (xs, ys)
+
+    def test_ambient_decimal_context_does_not_leak_in(self, layer_params_k8):
+        pr = layer_params_k8
+
+        def run():
+            codec = LayerCodec(pr)
+            tables = [decoding_table(pr, level) for level in range(1, pr.level_count + 1)]
+            trips = []
+            for xs, ys in forced_firings(pr.level_count):
+                value = codec.encode(xs, ys)
+                trips.append((str(value), codec.decode(value)))
+            tails = [_tail_inverse_squares.__wrapped__(j) for j in range(1, 9)]
+            return [(t.cells, t.half_width, t.log_half_width) for t in tables], trips, tails
+
+        expected = run()
+        # any arithmetic left in this context would round, and so raise
+        hostile = decimal.Context(
+            prec=5, rounding=decimal.ROUND_FLOOR, traps=[decimal.Inexact, decimal.Rounded]
+        )
+        with decimal.localcontext(hostile):
+            assert run() == expected
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, "NaN", "-Infinity", decimal.Decimal("sNaN"), "1e",
+    ])
+    def test_unreadable_value_rejected(self, layer_params_k4, value):
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            LayerCodec(layer_params_k4).decode(value)
 
     def test_precision_scales_with_dynamic_range(self, layer_params_k4, layer_params_k8):
         assert LayerCodec(layer_params_k8).dps > LayerCodec(layer_params_k4).dps
