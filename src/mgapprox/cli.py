@@ -49,7 +49,7 @@ from .inner import (
     singular_inner_coeffs,
 )
 from .layered_process import (
-    decoding_table,
+    decoding_table,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
     inv_sqrt_log_rule,
     power_rule,
     residual_norm_sq_lagged,
@@ -418,9 +418,6 @@ def _cmd_prop3(cfg) -> list[tuple]:
         raise UsageError("K must be >= 2")
     rule = _floor_rule(cfg["b_rule"])
     params = synthesize_layer_params(rule, cfg["K"], cfg["search_cap"])
-    for level in range(1, params.level_count + 1):
-        decoding_table(params, level)  # raises if any interval check fails
-
     columns = {key: getattr(params, key).tolist()
                for key in ("p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi")}
     tables = [_table("params", level=list(range(1, params.level_count + 1)), **columns)]

@@ -44,6 +44,11 @@ RADIAL_LIMIT_FACTORS = 60
 # A truncation order n resolves a zero at z only if z^n is negligible.
 _GEOMETRIC_RESOLUTION = 1e-8
 
+# Most zeros a rule may place: slowly decaying rules keep every zero below
+# 1, so without a ceiling a count of 10^9 allocates gigabytes before the
+# O(K n^2) product starts.
+_MAX_RULE_ZEROS = 10**6
+
 
 def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     """Taylor coefficients a_0..a_n of exp(-a (1+z)/(1-z)).
@@ -142,8 +147,9 @@ def _zeros_below_one(
     zero: Callable[[np.ndarray], np.ndarray], count: int, rule: str
 ) -> np.ndarray:
     """The zeros ``zero(k)`` for k = 1..count, which increase with k; raises
-    when one rounds to 1, before building the array.  The last zero is
-    checked alone, and the first one at 1 is found by bisection."""
+    when one rounds to 1 or count exceeds _MAX_RULE_ZEROS, before building
+    the array.  The last zero is checked alone, and the first one at 1 is
+    found by bisection."""
 
     def at_one(k: int) -> bool:
         return bool(zero(np.array([k], dtype=float))[0] >= 1.0)
@@ -160,6 +166,8 @@ def _zeros_below_one(
             f"{rule} zero k={hi} rounds to 1.0 in double precision; "
             f"at most {hi - 1} zeros of this rule are representable"
         )
+    if count > _MAX_RULE_ZEROS:
+        raise ValueError(f"{rule} asks for {count} zeros; at most {_MAX_RULE_ZEROS} are supported")
     return zero(np.arange(1, count + 1, dtype=float))
 
 

@@ -14,18 +14,19 @@ candidate martingale parts are compared through exact window-sum norms:
 The spike magnitudes q_k grow by a factor of about 30 k sqrt(8 phi(k)) per
 level, so the summed value determines every level outcome: at each level
 the nine possible (E, D) sign pairs shift the value into nine disjoint
-intervals of half-width r_{k-1}.  Magnitudes overflow binary64 near level
-40; q, r, s are therefore kept as natural logs, and those stored logs are
-the only representation of the scales.  The nine centers of a level are
-built from them once, in decimal arithmetic with a precision sized to the
-dynamic range, by one helper that both the decoding tables and the
-encoder/decoder use.
+intervals of half-width r_{k-1}.  The horizon ladder phi fixes every
+other constant: LayerParams stores phi and the floor values at it, and
+derives p, rho and the scales q, r, s from phi in closed form.  Magnitudes
+overflow binary64 near level 40, so the scales are natural logs.  The nine
+centers of a level are built from them once, in decimal arithmetic with a
+precision sized to the dynamic range, by one helper that both the decoding
+tables and the encoder/decoder use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import (
     MAX_EMAX,
     MIN_EMIN,
@@ -119,31 +120,54 @@ def _tail_inverse_squares(j: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class LayerParams:
-    """Synthesized constants of the layered construction.
+    """Constants of the layered construction, all fixed by the horizon ladder.
 
-    q, r, s are natural logs (``log_q``, ``log_r``, ``log_s``).  ``log_s[l-1]``
-    is the level-l scale log(p_l q_l); for l >= 2 it equals
-    log(10 r_{l-1} / rho_l), while level 1 has no predecessor, so its scale
-    is p_1 q_1 = 1 directly.  ``b_at_phi`` records the floor sequence at the
-    synthesized horizons, ``a_norm`` the (unit) innovation normalization.
+    ``phi`` holds the horizons phi(1) < ... < phi(K) and ``b_at_phi`` the
+    floor sequence at them; these are the only stored inputs.  Construction
+    checks that phi increases strictly from at least 13 and that the tail
+    condition 2 sum_{k>j} p_k^2 > b(phi(j))^2 holds at every level, then
+    derives the rest, read-only: p_l = 1/l, rho_l = 1/sqrt(8 phi(l)), and
+    q, r, s as natural logs (``log_q``, ``log_r``, ``log_s``).  q_1 = 1 and
+    the recursion rho_{n+1} p_{n+1} q_{n+1} = 30 sum_{k<=n} p_k q_k make the
+    reach r_n = 3 sum_{k<=n} p_k q_k grow as r_n = r_{n-1} (1 + 30/rho_n), so
+    all three logs follow in closed form from rho.  ``log_s[l-1]`` is the
+    level-l scale log(p_l q_l): 0 at level 1, log(10 r_{l-1} / rho_l) after.
+    phi >= 13 gives rho <= 0.098, so every scale exceeds 100 times the reach
+    below it.
     """
 
-    level_count: int
-    p: np.ndarray
-    rho: np.ndarray
     phi: np.ndarray
-    log_q: np.ndarray
-    log_r: np.ndarray
-    log_s: np.ndarray
     b_at_phi: np.ndarray
-    a_norm: float = 1.0
+    level_count: int = field(init=False)
+    p: np.ndarray = field(init=False)
+    rho: np.ndarray = field(init=False)
+    log_q: np.ndarray = field(init=False)
+    log_r: np.ndarray = field(init=False)
+    log_s: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (self.level_count,):
-                raise ValueError(f"{name} must have one entry per level")
-            arr = arr.copy()
+        phi = np.array(self.phi)
+        b_at_phi = np.array(self.b_at_phi, dtype=float)
+        if phi.ndim != 1 or phi.size == 0 or b_at_phi.shape != phi.shape:
+            raise ValueError("phi and b_at_phi must be one-dimensional, one entry per level")
+        if phi.dtype.kind not in "iu":
+            raise ValueError("phi must hold integer horizons")
+        if phi[0] < 13 or np.any(np.diff(phi) <= 0):
+            raise InvariantViolation("phi must increase strictly from at least 13")
+        for j in range(1, phi.size + 1):
+            if not 2.0 * _tail_inverse_squares(j) > b_at_phi[j - 1] ** 2:
+                raise InvariantViolation(f"tail condition fails at level {j}")
+
+        p = 1.0 / np.arange(1.0, phi.size + 1.0)
+        rho = 1.0 / np.sqrt(8.0 * phi.astype(float))
+        log_r = math.log(3.0) + np.concatenate(([0.0], np.cumsum(np.log1p(30.0 / rho[1:]))))
+        # log_s[0] = log(p_1 q_1) = 0; later levels have s_l = 10 r_{l-1} / rho_l
+        log_s = np.concatenate(([0.0], math.log(10.0) + log_r[:-1] - np.log(rho[1:])))
+        log_q = log_s - np.log(p)
+
+        object.__setattr__(self, "level_count", int(phi.size))
+        for name, arr in (("phi", phi.astype(np.int64)), ("b_at_phi", b_at_phi), ("p", p),
+                          ("rho", rho), ("log_q", log_q), ("log_r", log_r), ("log_s", log_s)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -194,77 +218,24 @@ def synthesize_layer_params(
     level_count: int,
     search_cap: int = DEFAULT_SEARCH_CAP,
 ) -> LayerParams:
-    """Choose phi, rho and q for a floor sequence b and K levels.
+    """Choose the horizon ladder phi for a floor sequence b and K levels.
 
     phi(j) is the smallest integer above phi(j-1) (phi(0) = 12, which forces
     rho < 1/10) with 2 sum_{k>j} p_k^2 > b(phi(j))^2, the tail over all k > j
-    taken analytically.  rho_k^2 = 1/(8 phi(k)).  q_1 = 1 and the recursion
-    rho_{n+1} p_{n+1} q_{n+1} = 30 sum_{k<=n} p_k q_k make the reach
-    r_n = 3 sum_{k<=n} p_k q_k grow as r_n = r_{n-1} (1 + 30/rho_n), so all
-    three logs follow in closed form from rho.
+    taken analytically; LayerParams derives rho, q, r and s from it.
     """
     level_count = int(level_count)
     if level_count < 2:
         raise ValueError("need at least two levels")
     search_cap = int(search_cap)
 
-    p = 1.0 / np.arange(1.0, level_count + 1.0)
     phi = np.empty(level_count, dtype=np.int64)
     prev = 12
     for j in range(1, level_count + 1):
         target = 2.0 * _tail_inverse_squares(j)
         prev = _smallest_horizon(b_rule, target, prev + 1, search_cap)
         phi[j - 1] = prev
-    rho = 1.0 / np.sqrt(8.0 * phi.astype(float))
-
-    log_r = math.log(3.0) + np.concatenate(([0.0], np.cumsum(np.log1p(30.0 / rho[1:]))))
-    # log_s[0] = log(p_1 q_1) = 0; later levels have s_l = 10 r_{l-1} / rho_l
-    log_s = np.concatenate(([0.0], math.log(10.0) + log_r[:-1] - np.log(rho[1:])))
-    log_q = log_s - np.log(p)
-
-    params = LayerParams(
-        level_count=level_count,
-        p=p,
-        rho=rho,
-        phi=phi,
-        log_q=log_q,
-        log_r=log_r,
-        log_s=log_s,
-        b_at_phi=np.array([float(b_rule(int(m))) for m in phi]),
-    )
-    _check_params(params)
-    return params
-
-
-def _check_params(params: LayerParams) -> None:
-    k = params.level_count
-    if not np.all(params.rho < 0.1):
-        raise InvariantViolation("some rho reached 1/10")
-    if not np.all(np.abs(8.0 * params.phi * params.rho**2 - 1.0) < 1e-12):
-        raise InvariantViolation("rho^2 != 1/(8 phi)")
-    if params.phi[0] < 13 or np.any(np.diff(params.phi) <= 0):
-        raise InvariantViolation("phi must increase strictly from at least 13")
-    for j in range(1, k + 1):
-        if not 2.0 * _tail_inverse_squares(j) > params.b_at_phi[j - 1] ** 2:
-            raise InvariantViolation(f"tail condition fails at level {j}")
-    if params.log_q[0] != 0.0 or params.log_s[0] != 0.0:
-        raise InvariantViolation("q_1 != 1 or p_1 q_1 != 1")
-    log_s, log_r = params.log_s, params.log_r
-    # the defining sums, on the stored logs; rho s = 10 r_prev is the q
-    # recursion rho_l p_l q_l = 30 sum_{k<l} p_k q_k
-    sums = (
-        ("s = p q", 1, log_s, np.log(params.p) + params.log_q),
-        ("r = 3 sum s", 1, log_r, math.log(3.0) + np.logaddexp.accumulate(log_s)),
-        ("q recursion", 2, np.log(params.rho[1:]) + log_s[1:], math.log(10.0) + log_r[:-1]),
-    )
-    for name, first_level, lhs, rhs in sums:
-        bad = np.flatnonzero(~(np.abs(lhs - rhs) <= 1e-12 * np.maximum(1.0, np.abs(lhs))))
-        if bad.size:
-            raise InvariantViolation(f"{name} broken at level {first_level + int(bad[0])}")
-    # s_l = 10 r_{l-1} / rho_l > 100 r_{l-1}
-    bad = np.flatnonzero(~(log_s[1:] - log_r[:-1] > math.log(100.0)))
-    if bad.size:
-        raise InvariantViolation(f"scale separation s > 100 r fails at level {int(bad[0]) + 2}")
+    return LayerParams(phi=phi, b_at_phi=np.array([float(b_rule(int(m))) for m in phi]))
 
 
 def residual_norm_sq_lagged(params: LayerParams, n: int) -> float:
@@ -318,45 +289,36 @@ def residual_norm_sq_natural(params: LayerParams, n: int) -> float:
 _OUTCOMES = tuple(product((-1, 0, 1), repeat=2))  # lexicographic (sx, sy)
 
 
-def _working_dps(params: LayerParams, guard_digits: int = 30) -> int:
-    # decimal digits spanning the smallest spacing (rho_1) to the top scale
+def _working_dps(params: LayerParams) -> int:
+    # decimal digits spanning the smallest spacing (rho_1) to the top scale,
+    # plus 30 guard digits
     span = float(params.log_s[-1]) - min(0.0, math.log(float(params.rho[0])))
-    return guard_digits + int(span / math.log(10.0)) + 1
+    return 30 + int(span / math.log(10.0)) + 1
 
 
 def _level_centers(params: LayerParams, level: int, dps: int):
-    """The nine decoding centers of one level, as ``(outcome, center)`` pairs
-    in lexicographic outcome order, and the level's half-width r_{l-1}
+    """The nine decoding centers of one level as an ``{outcome: center}``
+    dict in lexicographic outcome order, and the level's half-width r_{l-1}
     (zero at level 1), all Decimal at ``dps`` digits.
 
-    Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s), read off
-    the stored logs.  They must match their s/r compositions: the sy = 0
-    column is +-10 r_{l-1} and the |sy| = 1 columns are
-    -sy (s + (1 - sx sy) 10 r_{l-1}).  Each composition differs from its
-    center by a multiple of rho s - 10 r_{l-1}, so the one identity
-    rho s = 10 r_{l-1} checks all nine.  Sorted centers must lie at least
-    2 r_{l-1} apart, and be distinct at level 1.  Any failure raises
-    InvariantViolation.
+    Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s).  Sorted
+    centers must lie at least 2 r_{l-1} apart, and be distinct at level 1;
+    this check, in the decoding precision, is what certifies that every
+    value decodes to one outcome.  A failure raises InvariantViolation.
     """
-    log_s = float(params.log_s[level - 1])
-    if level >= 2 and not log_s - float(params.log_r[level - 2]) > math.log(100.0):
-        raise InvariantViolation(f"scale separation fails at level {level}")
     with localcontext(_context(dps)):
         rho = Decimal(float(params.rho[level - 1]))
-        s = Decimal(log_s).exp()
+        s = Decimal(float(params.log_s[level - 1])).exp()
         half = Decimal(float(params.log_r[level - 2])).exp() if level >= 2 else Decimal(0)
         lag, lead = rho * s, (1 + rho) * s
-        tol = Decimal(1e-12 * max(1.0, abs(log_s)))
-        if level >= 2 and not abs(lag - 10 * half) <= tol * 10 * half:
-            raise InvariantViolation(f"center composition mismatch at level {level}")
-        cells = [((sx, sy), sx * lag - sy * lead) for sx, sy in _OUTCOMES]
-        ordered = sorted(cells, key=lambda cell: cell[1])
+        centers = {(sx, sy): sx * lag - sy * lead for sx, sy in _OUTCOMES}
+        ordered = sorted(centers.items(), key=lambda cell: cell[1])
         for (low, lo), (high, hi) in zip(ordered, ordered[1:]):
             if not (hi > lo and hi - lo >= 2 * half):
                 raise InvariantViolation(
                     f"intervals overlap at level {level}: outcomes {low}, {high}"
                 )
-    return cells, half
+    return centers, half
 
 
 @dataclass(frozen=True)
@@ -388,10 +350,10 @@ def decoding_table(params: LayerParams, level: int) -> DecodingTable:
     half-width is r_{l-1}, the reach of all lower levels combined.  Level 1
     has half-width zero (no lower levels): its table degenerates to nine
     isolated points, and decoding matches the nearest center instead of an
-    interval.  The centers and their checks (composition, disjointness) are
-    the ones LayerCodec decodes with, built from the stored logs at the
-    codec's working precision and rounded to binary64 here; a value beyond
-    the binary64 range becomes +-inf, its log stays finite.
+    interval.  The centers and their disjointness check are the ones
+    LayerCodec decodes with, built at the codec's working precision and
+    rounded to binary64 here; a value beyond the binary64 range becomes
+    +-inf, its log stays finite.
     """
     level = int(level)
     if not 1 <= level <= params.level_count:
@@ -407,7 +369,7 @@ def decoding_table(params: LayerParams, level: int) -> DecodingTable:
                 log_abs=float(center.copy_abs().ln(context)),
                 value=float(center),
             )
-            for outcome, center in cells
+            for outcome, center in cells.items()
         ),
         half_width=float(half),
         log_half_width=float(half.ln(context)),
@@ -431,23 +393,23 @@ class LayerCodec:
 
     Working precision is sized to the construction's dynamic range plus
     guard digits.  Centers and half-widths come from the same per-level
-    builder as ``decoding_table``, evaluated from the stored logs at that
-    precision, so the codec rejects inconsistent params exactly as the
-    tables do, and the cascading subtractions keep a wide margin relative
+    builder as ``decoding_table``, with its disjointness check, at that
+    precision, so the cascading subtractions keep a wide margin relative
     to each level's half-width.  A value is decodable in plain binary64
     only when all levels above the binary64 range are silent; this codec
     removes that restriction.
     """
 
-    def __init__(self, params: LayerParams, guard_digits: int = 30):
+    def __init__(self, params: LayerParams):
         self.params = params
-        self.dps = _working_dps(params, guard_digits)
+        self.dps = _working_dps(params)
         self._context = _context(self.dps)
         levels = [
             _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
         ]
-        # the silent outcome decodes most samples; test it first
-        self._centers = [sorted(cells, key=lambda cell: cell[0] != (0, 0)) for cells, _ in levels]
+        # one {outcome: center} dict per level; the silent outcome decodes
+        # most samples, so decode tests it first
+        self._centers = [{(0, 0): centers[(0, 0)], **centers} for centers, _ in levels]
         self._reach = [half for _, half in levels[1:]]  # _reach[l - 2] = r_{l-1}
         self._level_one_tol = self._context.divide(Decimal(float(params.rho[0])), 4)
 
@@ -462,14 +424,8 @@ class LayerCodec:
         if not set(x_signs) | set(y_signs) <= {-1, 0, 1}:
             raise ValueError("signs must be -1, 0 or +1")
         with localcontext(self._context):
-            terms = []
-            for lvl in range(1, k + 1):
-                want = (x_signs[lvl - 1], y_signs[lvl - 1])
-                for outcome, center in self._centers[lvl - 1]:
-                    if outcome == want:
-                        terms.append(center)
-                        break
-            return sum(terms)
+            pairs = zip(x_signs, y_signs)
+            return sum(centers[pair] for centers, pair in zip(self._centers, pairs))
 
     def decode(self, value) -> DecodedSample:
         """Read all level outcomes off a value, top level first.
@@ -495,7 +451,7 @@ class LayerCodec:
             for lvl in range(k, 1, -1):
                 half = self._reach[lvl - 2]
                 hit = None
-                for outcome, center in self._centers[lvl - 1]:
+                for outcome, center in self._centers[lvl - 1].items():
                     dist = abs(residual - center)
                     if dist < half:
                         hit = (outcome, center)
@@ -508,7 +464,7 @@ class LayerCodec:
                     return DecodedSample(tuple(xs), tuple(ys), ok=False, fail_level=lvl)
                 (xs[lvl - 1], ys[lvl - 1]), center = hit
                 residual -= center
-            for outcome, center in self._centers[0]:
+            for outcome, center in self._centers[0].items():
                 if abs(residual - center) < self._level_one_tol:
                     xs[0], ys[0] = outcome
                     return DecodedSample(tuple(xs), tuple(ys), ok=True)

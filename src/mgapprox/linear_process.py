@@ -183,7 +183,11 @@ def simulate_path(
         innov = rng.standard_normal(size)
     else:
         innov = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-    return np.convolve(innov, spec.series.coeffs)[burn_in : burn_in + n]
+    # X_t needs innovations t - order..t: keep the last order + n, with zeros
+    # standing in for those before the burn-in, and convolve only where the
+    # whole coefficient window overlaps
+    window = np.concatenate((np.zeros(max(0, order - burn_in)), innov[max(0, burn_in - order):]))
+    return np.convolve(window, spec.series.coeffs, "valid")
 
 
 def empirical_autocovariance(path: np.ndarray, k: int) -> float:

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -249,10 +250,10 @@ def test_criterion_11_cli_byte_identical(tmp_path, monkeypatch, capsys):
     for argv in runs:
         assert cli_main(list(argv)) == 0
         paths = [p for p in capsys.readouterr().out.splitlines() if p]
-        first = {p: open(p, "rb").read() for p in paths}
+        first = {p: Path(p).read_bytes() for p in paths}
         assert cli_main(list(argv)) == 0
         capsys.readouterr()
-        ok = ok and all(open(p, "rb").read() == blob for p, blob in first.items())
+        ok = ok and all(Path(p).read_bytes() == blob for p, blob in first.items())
         if argv[0] == "prop2":
             payload = json.loads(first["prop2_summary.json"])
             ok = ok and set(payload) == {"metadata", "schema", "rows"}

@@ -378,6 +378,27 @@ class TestExitStatus:
         assert "invariant violation" in capsys.readouterr().err
         assert os.listdir() == []
 
+    def test_prop3_checks_the_centers_once(self, monkeypatch, capsys):
+        # the codec's center build is the only interval check prop3 runs
+        def overlap(params, level, dps):
+            raise InvariantViolation(f"intervals overlap at level {level}")
+
+        calls = []
+        monkeypatch.setattr("mgapprox.layered_process._level_centers", overlap)
+        monkeypatch.setattr("mgapprox.cli.decoding_table", lambda *a: calls.append(a))
+        assert run("prop3", "--K", "4") == 3
+        assert "intervals overlap at level 1" in capsys.readouterr().err
+        assert os.listdir() == []
+        assert calls == []
+
+    def test_rule_zero_count_ceiling(self, capsys):
+        # every zero of power(0.01) stays below 1, so only the ceiling stops it
+        argv = ("inner", "--kind", "blaschke", "--rule", "power", "--alpha", "0.01",
+                "--factors", "1000000000")
+        assert run(*argv) == 1
+        assert "at most 1000000 are supported" in capsys.readouterr().err
+        assert os.listdir() == []
+
     def test_wall_time_on_stderr_only(self, capsys):
         assert run("inner", "--trunc", "2") == 0
         captured = capsys.readouterr()

@@ -159,6 +159,14 @@ class TestBlaschkeSpec:
             with pytest.raises(ValueError, match=message):
                 build(count)
 
+    def test_zero_count_ceiling(self):
+        # power(0.01) keeps every zero below 1; the ceiling ends the request
+        # before any array is built
+        assert BlaschkeSpec.power(0.01, 10**6).zeros.size == 10**6
+        for count in (10**6 + 1, 10**15):
+            with pytest.raises(ValueError, match=f"asks for {count} zeros; at most 1000000 "):
+                BlaschkeSpec.power(0.01, count)
+
 
 class TestBlaschkeProduct:
     def test_single_zero_equals_factor(self):

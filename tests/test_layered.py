@@ -4,7 +4,7 @@ import decimal
 import itertools
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -138,18 +138,36 @@ class TestSynthesis:
             power_rule(0.0)
 
     def test_params_shape_validation(self):
-        one = np.ones(3)
-        with pytest.raises(ValueError):
-            LayerParams(
-                level_count=4,
-                p=one,
-                rho=one,
-                phi=one,
-                log_q=one,
-                log_r=one,
-                log_s=one,
-                b_at_phi=one,
-            )
+        cases = [
+            (np.arange(13, 17), np.full(3, 0.1)),  # lengths differ
+            (np.arange(13, 17).reshape(2, 2), np.full((2, 2), 0.1)),
+            (np.array([], dtype=np.int64), np.array([])),
+            (np.array([13.0, 14.0]), np.full(2, 0.1)),  # horizons are integers
+        ]
+        for phi, b_at_phi in cases:
+            with pytest.raises(ValueError, match="phi"):
+                LayerParams(phi=phi, b_at_phi=b_at_phi)
+
+    @pytest.mark.parametrize("phi, b_at_phi, message", [
+        ([12, 14, 15], [0.1, 0.1, 0.1], "at least 13"),
+        ([13, 15, 15], [0.1, 0.1, 0.1], "increase strictly"),
+        ([13, 15, 14], [0.1, 0.1, 0.1], "increase strictly"),
+        ([13, 14, 15], [0.1, 0.9, 0.1], "tail condition fails at level 2"),
+        ([13, 14, 15], [0.1, 0.1, math.nan], "tail condition fails at level 3"),
+    ], ids=["below-13", "repeated", "decreasing", "tail", "nan-floor"])
+    def test_bad_ladder_rejected_at_construction(self, phi, b_at_phi, message):
+        with pytest.raises(InvariantViolation, match=message):
+            LayerParams(phi=np.array(phi), b_at_phi=np.array(b_at_phi))
+
+    def test_scales_derived_from_phi(self, layer_params_k8):
+        pr = layer_params_k8
+        assert [f.name for f in fields(pr) if f.init] == ["phi", "b_at_phi"]
+        rebuilt = LayerParams(phi=pr.phi.tolist(), b_at_phi=pr.b_at_phi.tolist())
+        for name in ("phi", "b_at_phi", "p", "rho", "log_q", "log_r", "log_s"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(pr, name))
+        shifted = replace(pr, phi=pr.phi + 1)  # every scale follows the new ladder
+        assert np.array_equal(shifted.rho, 1.0 / np.sqrt(8.0 * (pr.phi + 1.0)))
+        assert np.all(shifted.log_s[1:] > pr.log_s[1:])
 
 
 class TestResidualNorms:
@@ -260,10 +278,13 @@ class TestDecodingTables:
             decoding_table(layer_params_k4, 5)
 
     def test_tampered_scales_rejected(self, layer_params_k4):
+        # the tables and the codec read scales derived from phi; no copy that
+        # disagrees with them can be built or written
         pr = layer_params_k4
-        bad = replace(pr, log_r=pr.log_r + 50.0)  # reach now swamps the level scale
-        with pytest.raises(InvariantViolation):
-            decoding_table(bad, 2)
+        with pytest.raises(ValueError, match="init=False"):
+            replace(pr, log_r=pr.log_r + 50.0)
+        with pytest.raises(ValueError, match="read-only"):
+            pr.log_s[1] += 1e-6
 
 
 class TestLayerCodec:
@@ -307,18 +328,6 @@ class TestLayerCodec:
             value = 2 * codec._reach[2]
         out = codec.decode(value)
         assert not out.ok and not out.boundary and out.fail_level == 4
-
-    @pytest.mark.parametrize("name", ["log_r", "log_s"])
-    @pytest.mark.parametrize("shift", [-1e-6, 1e-6, 2.0])
-    def test_shifted_scales_rejected_like_the_tables(self, layer_params_k4, name, shift):
-        # both build their centers through the same checks, so a shift by
-        # far less than the scale separation already breaks the composition
-        pr = layer_params_k4
-        bad = replace(pr, **{name: getattr(pr, name) + shift})
-        with pytest.raises(InvariantViolation):
-            LayerCodec(bad)
-        with pytest.raises(InvariantViolation):
-            decoding_table(bad, 2)
 
     @pytest.mark.parametrize("level_count", [8, 24])
     def test_every_level_round_trips_when_forced_to_fire(

@@ -174,6 +174,29 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_path(spec, 4, burn_in=-1)
 
+    @pytest.mark.parametrize("burn_in", [0, 1, 25, 49, 50, 51, 120])
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    def test_valid_convolution_matches_the_full_slice(self, burn_in, kind):
+        # the full convolution, sliced, is the oracle; with the whole window
+        # burnt in the paths agree bit for bit
+        coeffs = np.random.default_rng(5).standard_normal(51)
+        spec = LinearProcessSpec(CoefficientSeries(coeffs), kind, seed=9)
+        for n in (1, 2, 37):
+            rng = substream(9, 2)
+            if kind == "gaussian":
+                innov = rng.standard_normal(burn_in + n)
+            else:
+                innov = rng.integers(0, 2, size=burn_in + n).astype(float) * 2.0 - 1.0
+            oracle = np.convolve(innov, coeffs)[burn_in : burn_in + n]
+            if burn_in >= 50:
+                path = simulate_path(spec, n, burn_in=burn_in, replicate=2)
+                assert np.array_equal(path, oracle)
+            else:
+                with pytest.warns(RuntimeWarning, match="burn_in"):
+                    path = simulate_path(spec, n, burn_in=burn_in, replicate=2)
+                assert path.shape == oracle.shape
+                assert np.allclose(path, oracle, rtol=0.0, atol=1e-13)
+
     def test_window_variance_matches_stored_kernel(self, unit_singular_series):
         # 200 replicates put the MC estimate within a few percent of the
         # stored-prefix window norm (frozen run at this seed: -6.7%).
