@@ -10,7 +10,6 @@ identities on an exhaustively enumerated finite model.
 
 from .errors import InvariantViolation
 from .exact_model import (
-    ConditioningSet,
     ExactModel,
     ProjectionReport,
     conditional_expectation,
@@ -78,7 +77,6 @@ __all__ = [
     "BlaschkeSpec",
     "CesaroProfile",
     "CoefficientSeries",
-    "ConditioningSet",
     "DecayDiagnostics",
     "DecodeReport",
     "FIRE_LOG_FLOOR",

@@ -1,12 +1,14 @@
 """Exhaustive finite probability model for filtration arithmetic.
 
-The sample space enumerates every sign assignment to a finite family of
+The sample space is the sign cube {+-1}^V of a finite family of
 independent Rademacher variables: carriers ``("e", i)`` for i = -depth ..
-depth + 1 and ``("f", j)`` for j in {-1, 0} plus any extras.  With at most
-a few dozen carriers, all 2^V atoms fit in memory and conditional
-expectations are exact column averages over atom groups, so martingale
-difference norms, telescoping identities and remote-past projections can
-be checked to float64 roundoff rather than sampled.
+depth + 1 and ``("f", j)`` for j in {-1, 0} plus any extras.  Atom i is
+the sign pattern whose carrier j is +1 exactly when bit j of i is set, so
+a vector over the 2^V atoms reshaped to ``(2,) * V`` has carrier j on axis
+V - 1 - j.  Conditioning on a set of carriers is then the mean over the
+axes of the carriers outside it, which makes martingale difference norms,
+telescoping identities and remote-past projections exact to float64
+roundoff rather than sampled.
 
 The observable of interest is f_0 * digit + 2 e_0, where ``digit`` packs
 the e-signs of positive and negative index into one number through the
@@ -20,12 +22,11 @@ one step past the last weighted carrier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ConditioningSet",
     "ExactModel",
     "Label",
     "ProjectionReport",
@@ -53,14 +54,13 @@ def _digit_weight(label: Label, depth: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExactModel:
-    """All atoms of the finite model, with per-carrier sign columns."""
+    """All atoms of the finite model: one +-1 sign per carrier and atom."""
 
     depth: int
     labels: tuple[Label, ...]
     signs: np.ndarray  # (2^V, V) int8, entries +-1
     digit: np.ndarray  # (2^V,) float64
     observable: np.ndarray  # (2^V,) float64
-    _col: dict = field(repr=False)
 
     @classmethod
     def build(cls, depth: int, extra_carriers: tuple[int, ...] = ()) -> "ExactModel":
@@ -74,61 +74,45 @@ class ExactModel:
         v = len(labels)
         if v > 20:
             raise ValueError("too many carriers for exhaustive enumeration")
-        idx = np.arange(2**v, dtype=np.int64)
-        signs = (((idx[:, None] >> np.arange(v)) & 1) * 2 - 1).astype(np.int8)
+        pm = np.array([-1, 1], dtype=np.int8)
+        signs = np.empty((2**v, v), dtype=np.int8)
+        for j in range(v):  # carrier j is +1 where bit j of the atom index is set
+            signs[:, j] = np.tile(np.repeat(pm, 2**j), 2 ** (v - 1 - j))
         weights = np.array([_digit_weight(lab, depth) for lab in labels])
         digit = 1.0 + signs.astype(np.float64) @ weights
-        col = {lab: signs[:, j].astype(np.float64) for j, lab in enumerate(labels)}
-        return cls(
-            depth=depth,
-            labels=labels,
-            signs=signs,
-            digit=digit,
-            observable=col[("f", 0)] * digit + 2.0 * col[("e", 0)],
-            _col=col,
-        )
+        f0 = signs[:, labels.index(("f", 0))].astype(np.float64)
+        e0 = signs[:, labels.index(("e", 0))].astype(np.float64)
+        observable = f0 * digit + 2.0 * e0
+        return cls(depth=depth, labels=labels, signs=signs, digit=digit, observable=observable)
 
     def column(self, label: Label) -> np.ndarray:
-        if label not in self._col:
+        """A fresh float64 copy of one carrier's signs."""
+        if label not in self.labels:
             raise KeyError(f"no carrier {label!r} in this model")
-        return self._col[label]
+        return self.signs[:, self.labels.index(label)].astype(np.float64)
 
 
-@dataclass(frozen=True)
-class ConditioningSet:
-    """The sigma-field generated by a subset of the carriers."""
-
-    labels: frozenset
-
-
-def conditioning_up_to(model: ExactModel, k: int) -> ConditioningSet:
+def conditioning_up_to(model: ExactModel, k: int) -> frozenset:
     """Carriers visible at time k: all e_i and f_j with index <= k."""
-    keep = frozenset(lab for lab in model.labels if lab[1] <= k)
-    return ConditioningSet(labels=keep)
+    return frozenset(lab for lab in model.labels if lab[1] <= k)
 
 
-def conditional_expectation(
-    model: ExactModel, target: np.ndarray, cond: ConditioningSet
-) -> np.ndarray:
-    """Exact E[target | cond] as an atom-wise vector.
+def conditional_expectation(model: ExactModel, target: np.ndarray, cond: frozenset) -> np.ndarray:
+    """Exact E[target | carriers in cond] as an atom-wise vector.
 
-    Atoms are grouped by the bit pattern of the conditioning carriers and
-    the target is averaged within each group.
+    On the sign cube this is the mean of the target over the axes of the
+    carriers outside ``cond``, broadcast back to every atom.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != (model.signs.shape[0],):
         raise ValueError("target must assign one value per atom")
-    positions = [j for j, lab in enumerate(model.labels) if lab in cond.labels]
-    unknown = cond.labels - set(model.labels)
+    unknown = cond - set(model.labels)
     if unknown:
         raise KeyError(f"conditioning on carriers outside the model: {sorted(unknown)}")
-    if not positions:
-        return np.full_like(target, target.mean())
-    bits = (model.signs[:, positions] > 0).astype(np.int64)
-    key = bits @ (np.int64(1) << np.arange(len(positions), dtype=np.int64))
-    sums = np.bincount(key, weights=target, minlength=2 ** len(positions))
-    counts = np.bincount(key, minlength=2 ** len(positions))
-    return (sums / counts)[key]
+    v = len(model.labels)
+    hidden = tuple(v - 1 - j for j, lab in enumerate(model.labels) if lab not in cond)
+    cube = target.reshape((2,) * v)
+    return np.broadcast_to(cube.mean(axis=hidden, keepdims=True), cube.shape).flatten()
 
 
 def martingale_difference_norms(model: ExactModel) -> dict[int, float]:
@@ -177,10 +161,8 @@ def remote_past_projection(model: ExactModel) -> ProjectionReport:
     the projection collapses to the 2 e_0 summand.  The report states which
     of the two candidate identifications (e_0 or 2 e_0) holds.
     """
-    keep = frozenset(
-        lab for lab in model.labels if lab[0] == "e" or (lab[0] == "f" and lab[1] <= -1)
-    )
-    values = conditional_expectation(model, model.observable, ConditioningSet(keep))
+    keep = frozenset(lab for lab in model.labels if lab[0] == "e" or lab[1] <= -1)
+    values = conditional_expectation(model, model.observable, keep)
     e0 = model.column(("e", 0))
     return ProjectionReport(
         values=values,

@@ -46,8 +46,16 @@ _GEOMETRIC_RESOLUTION = 1e-8
 
 # Most zeros a rule may place: slowly decaying rules keep every zero below
 # 1, so without a ceiling a count of 10^9 allocates gigabytes before the
-# O(K n^2) product starts.
+# product starts.  Time is bounded separately, by _MAX_PRODUCT_WORK.
 _MAX_RULE_ZEROS = 10**6
+
+# Most multiply-adds, factors x (n + 1)^2, that blaschke_product_coeffs may
+# spend: it runs one O(n^2) convolution per factor.
+_MAX_PRODUCT_WORK = 10**10
+
+# Largest singular parameter: the recurrence is seeded with exp(-a), which
+# stays a normal double up to a = 708 and is 0 above a = 745.
+_MAX_SINGULAR_A = 700.0
 
 
 def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
@@ -56,6 +64,7 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     The partial sums satisfy A_k = exp(-a) L_k(2a); running the Laguerre
     three-term recurrence on the pre-scaled A_k keeps every intermediate
     O(1) instead of letting L_k and exp(-a) overflow/underflow separately.
+    a must lie in (0, 700], where the seed exp(-a) is a normal double.
     The tail-mass bound integrates the coefficient-decay envelope
     |a_j| <= pi^(-1/2) (2a)^(1/4) j^(-3/4) past the truncation order, giving
     2 sqrt(2a) / (pi sqrt(n)).
@@ -63,6 +72,9 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     a = float(a)
     if not a > 0.0:
         raise ValueError("the singular parameter must be positive")
+    if a > _MAX_SINGULAR_A:
+        raise ValueError(f"the singular parameter {a!r} exceeds {_MAX_SINGULAR_A!r}, above "
+                         "which the seed exp(-a) leaves the normal double range")
     n = int(n)
     if n < 0:
         raise ValueError("truncation order must be >= 0")
@@ -198,11 +210,16 @@ def blaschke_product_coeffs(spec: BlaschkeSpec, n: int) -> CoefficientSeries:
     Warns when the slowest factor is not resolved at order n (max z^n above
     1e-8).  A finite Blaschke product is inner, so the truncation deficit
     1 - sum_{j<=n} a_j^2 equals the exact tail mass; it is stored as the
-    tail bound.
+    tail bound.  Raises ValueError, before any convolution, when
+    factors x (n + 1)^2 exceeds 10^10 multiply-adds.
     """
     n = int(n)
     if n < 0:
         raise ValueError("truncation order must be >= 0")
+    work = spec.zeros.size * (n + 1) ** 2
+    if work > _MAX_PRODUCT_WORK:
+        raise ValueError(f"{spec.zeros.size} factors at order {n} need {work:.3g} multiply-adds; "
+                         f"at most {_MAX_PRODUCT_WORK:.0e} are supported")
     zmax = float(np.max(spec.zeros))
     if zmax > 0.0 and zmax**n > _GEOMETRIC_RESOLUTION:
         warnings.warn(

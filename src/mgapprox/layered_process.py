@@ -238,6 +238,14 @@ def synthesize_layer_params(
     return LayerParams(phi=phi, b_at_phi=np.array([float(b_rule(int(m))) for m in phi]))
 
 
+def _stored_window(params: LayerParams, base: np.ndarray, n: int) -> float:
+    """sum over the stored levels of base_k min(phi(k), n): levels with
+    phi(k) <= n contribute base_k phi(k), later ones base_k n."""
+    phi = params.phi.astype(float)
+    served = phi <= n
+    return float(np.sum(base[served] * phi[served])) + float(n * np.sum(base[~served]))
+
+
 def residual_norm_sq_lagged(params: LayerParams, n: int) -> float:
     """||window_n(process - lagged martingale part)||^2, which the
     construction keeps at or below n for every horizon (so the normalized
@@ -253,10 +261,7 @@ def residual_norm_sq_lagged(params: LayerParams, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError("the horizon must be >= 1")
-    phi = params.phi.astype(float)
-    base = 2.0 * params.p**2 * params.rho**2
-    served = phi <= n
-    value = float(np.sum(base[served] * phi[served])) + float(n * np.sum(base[~served]))
+    value = _stored_window(params, 2.0 * params.p**2 * params.rho**2, n)
     tail_cap = 0.25 * _tail_inverse_squares(params.level_count)
     return value + tail_cap * min(1.0, n / float(params.phi[-1]))
 
@@ -275,10 +280,7 @@ def residual_norm_sq_natural(params: LayerParams, n: int) -> float:
     n = int(n)
     if n < 1:
         raise ValueError("the horizon must be >= 1")
-    phi = params.phi.astype(float)
-    base = 2.0 * params.p**2 * (1.0 + params.rho) ** 2
-    served = phi <= n
-    value = float(np.sum(base[served] * phi[served])) + float(n * np.sum(base[~served]))
+    value = _stored_window(params, 2.0 * params.p**2 * (1.0 + params.rho) ** 2, n)
     tail_floor = 2.0 * min(n, int(params.phi[-1])) * _tail_inverse_squares(params.level_count)
     return value + tail_floor
 

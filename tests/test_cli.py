@@ -399,6 +399,20 @@ class TestExitStatus:
         assert "at most 1000000 are supported" in capsys.readouterr().err
         assert os.listdir() == []
 
+    def test_blaschke_work_ceiling(self, capsys):
+        # 10^6 zeros at order 1000 is 10^12 multiply-adds: refused before any product
+        argv = ("inner", "--kind", "blaschke", "--rule", "power", "--alpha", "0.01",
+                "--factors", "1000000")
+        assert run(*argv) == 1
+        assert "1000000 factors at order 1000" in capsys.readouterr().err
+        assert os.listdir() == []
+
+    def test_singular_a_range(self, capsys):
+        # exp(-746) is 0: the old recurrence wrote all-zero coefficients
+        assert run("gap", "--a", "746") == 1
+        assert "exceeds 700.0" in capsys.readouterr().err
+        assert os.listdir() == []
+
     def test_wall_time_on_stderr_only(self, capsys):
         assert run("inner", "--trunc", "2") == 0
         captured = capsys.readouterr()
@@ -407,21 +421,29 @@ class TestExitStatus:
 
 
 def test_traced_run_counts_rows(tmp_path):
-    """perfbench/tracer.py patches names on mgapprox.cli; a traced run must
-    still write its table and count its rows."""
-    spans = tmp_path / "spans.json"
+    """perfbench/tracer.py patches names on mgapprox.cli and
+    mgapprox.exact_model; a traced run must still write its tables and
+    count its rows and atoms."""
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(out)})
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans),
-         "inner", "--trunc", "3"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(spans.read_text())
-    assert "cli.emit_table.csv" in summary["spans"]
-    assert summary["counts"]["cli.rows"] == 4
-    assert (out / "inner_series.csv").exists()
+    cases = [
+        (("inner", "--trunc", "3"), 4, "inner_series.csv", {}),
+        # 13 conditional expectations over the 256 atoms of depth 2
+        (("prop2", "--depth", "2"), 6, "prop2_summary.csv",
+         {"exact_model.conditional_expectation.atoms": 13 * 256}),
+    ]
+    for argv, rows, table, counts in cases:
+        spans = tmp_path / f"{argv[0]}_spans.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(spans.read_text())
+        assert "cli.emit_table.csv" in summary["spans"]
+        assert summary["counts"]["cli.rows"] == rows
+        assert counts.items() <= summary["counts"].items()
+        assert (out / table).exists()
 
 
 def test_cli_import_leaves_mpmath_out():

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgapprox import (
-    ConditioningSet,
     ExactModel,
     conditional_expectation,
     conditioning_up_to,
@@ -53,6 +54,17 @@ class TestBuild:
         m = ExactModel.build(2, extra_carriers=(1,))
         assert ("f", 1) in m.labels
 
+    def test_signs_follow_the_atom_index_bits(self, model3):
+        index = np.arange(2**10)
+        for j in range(10):
+            assert np.array_equal(model3.signs[:, j], np.where((index >> j) & 1, 1, -1))
+
+    def test_column_is_a_fresh_float_copy(self, model3):
+        col = model3.column(("e", 1))
+        assert col.dtype == np.float64
+        col[:] = 0.0
+        assert np.all(np.abs(model3.column(("e", 1))) == 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ExactModel.build(0)
@@ -64,7 +76,7 @@ class TestBuild:
 
 class TestConditionalExpectation:
     def test_empty_conditioning_is_the_mean(self, model3):
-        ce = conditional_expectation(model3, model3.digit, ConditioningSet(frozenset()))
+        ce = conditional_expectation(model3, model3.digit, frozenset())
         assert np.allclose(ce, model3.digit.mean(), atol=1e-15)
 
     def test_full_conditioning_is_identity(self, model3):
@@ -117,8 +129,58 @@ class TestConditionalExpectation:
             conditional_expectation(model3, np.ones(7), conditioning_up_to(model3, 0))
         with pytest.raises(KeyError):
             conditional_expectation(
-                model3, model3.digit, ConditioningSet(frozenset({("g", 0)}))
+                model3, model3.digit, frozenset({("g", 0)})
             )
+
+
+def bincount_expectation(model, target, cond):
+    """E[target | cond] by grouping atoms on the packed bits of the
+    conditioning carriers, the implementation before axis means."""
+    target = np.asarray(target, dtype=np.float64)
+    positions = [j for j, lab in enumerate(model.labels) if lab in cond]
+    if not positions:
+        return np.full_like(target, target.mean())
+    bits = (model.signs[:, positions] > 0).astype(np.int64)
+    key = bits @ (np.int64(1) << np.arange(len(positions), dtype=np.int64))
+    sums = np.bincount(key, weights=target, minlength=2 ** len(positions))
+    counts = np.bincount(key, minlength=2 ** len(positions))
+    return (sums / counts)[key]
+
+
+_MODELS = {depth: ExactModel.build(depth) for depth in range(1, 5)}
+
+
+class TestAxisMeansMatchTheBincountOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        depth=st.integers(1, 4),
+        mask=st.lists(st.booleans(), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    )
+    @example(depth=4, mask=[False] * 12, seed=0, scale=1.0)
+    @example(depth=4, mask=[True] * 12, seed=0, scale=1.0)
+    def test_random_subsets_and_targets(self, depth, mask, seed, scale):
+        m = _MODELS[depth]
+        cond = frozenset(lab for lab, keep in zip(m.labels, mask) if keep)
+        target = scale * np.random.default_rng(seed).standard_normal(m.signs.shape[0])
+        got = conditional_expectation(m, target, cond)
+        want = bincount_expectation(m, target, cond)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(target)))
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_filtration_steps_are_bit_identical(self, depth):
+        m = ExactModel.build(depth)
+        for k in range(-2, depth + 2):
+            cond = conditioning_up_to(m, k)
+            for target in (m.observable, m.digit):
+                got = conditional_expectation(m, target, cond)
+                assert got.tobytes() == bincount_expectation(m, target, cond).tobytes()
+
+    def test_result_is_a_fresh_writable_vector(self, model3):
+        for cond in (frozenset(), frozenset(model3.labels)):
+            got = conditional_expectation(model3, model3.observable, cond)
+            assert got.flags.writeable and not np.shares_memory(got, model3.observable)
 
 
 class TestIncrementNorms:

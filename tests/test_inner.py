@@ -76,6 +76,19 @@ class TestSingularInner:
     def test_certificate_flag_set(self):
         assert singular_inner_coeffs(0.5, 8).orthonormal_rows is True
 
+    def test_largest_a_matches_mpmath_laguerre(self):
+        # at a = 700 the seed exp(-a) is still a normal double
+        a, n = 700.0, 5000
+        partial = np.cumsum(singular_inner_coeffs(a, n).coeffs)
+        for k in (0, 1, 10, 100, 500, 1000, 1399, 1400, 1401, 2000, 3000, 4999, 5000):
+            reference = float(mpmath.exp(-a) * mpmath.laguerre(k, 0, 2.0 * a))
+            assert abs(partial[k] - reference) <= 1e-16, k
+
+    @pytest.mark.parametrize("a", [700.5, 746.0, 1e6])
+    def test_a_above_the_range_rejected(self, a):
+        with pytest.raises(ValueError, match="exceeds 700.0"):
+            singular_inner_coeffs(a, 10)
+
 
 class TestNewmanShapiroAsymptotic:
     def test_cosine_zero_crossing(self):
@@ -211,6 +224,17 @@ class TestBlaschkeProduct:
     def test_certificate_flag_set(self):
         s = blaschke_product_coeffs(BlaschkeSpec(np.array([0.3, 0.1])), 30)
         assert s.orthonormal_rows is True
+
+    def test_work_ceiling(self, monkeypatch):
+        # factors x (n + 1)^2 may reach 10^10 multiply-adds and no more
+        assert blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 99999).order == 99999
+        with pytest.raises(ValueError, match="1 factors at order 100000 .* at most 1e"):
+            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 100000)
+        calls = []
+        monkeypatch.setattr("mgapprox.inner.cauchy_product", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="1000000 factors at order 1000 "):
+            blaschke_product_coeffs(BlaschkeSpec.power(0.01, 10**6), 1000)
+        assert calls == []
 
 
 class TestDyadicMidpointBounds:
