@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgapprox import (
     BlaschkeSpec,
@@ -25,6 +27,46 @@ from mgapprox import (
 
 # prod_{k=1..60} (1 - 2^-k)/(1 + 2^-k), frozen from an independent evaluation.
 DYADIC_LIMIT_CONSTANT = 0.12112420800258053
+
+
+def chain_product(zeros, n):
+    """The product as a chain of truncated convolutions of single factors:
+    the construction the lossless cascade replaced, kept as its oracle."""
+    acc = blaschke_factor_coeffs(float(zeros[0]), n)
+    for z0 in zeros[1:]:
+        acc = cauchy_product(acc, blaschke_factor_coeffs(float(z0), n), n)
+    return acc.coeffs
+
+
+def mpmath_cascade(zeros, n):
+    """Outputs 0..n and final states of the sections x' = z0 x + c u,
+    y = -c x + z0 u on the unit impulse, at the current mpmath precision."""
+    u = [mpmath.mpf(1)] + [mpmath.mpf(0)] * n
+    states = []
+    for z0 in zeros:
+        z = mpmath.mpf(float(z0))
+        c = mpmath.sqrt((1 - z) * (1 + z))
+        x = mpmath.mpf(0)
+        out = []
+        for uk in u:
+            out.append(z * uk - c * x)
+            x = z * x + c * uk
+        states.append(x)
+        u = out
+    return u, states
+
+
+def mpmath_tail(zeros, n):
+    """1 - sum_{j<=n} a_j^2 with 40 significant digits: a first 40-digit run
+    sizes the tail by its squared final states, and a second run adds that
+    many digits so the difference keeps 40 of them."""
+    with mpmath.workdps(40):
+        _, states = mpmath_cascade(zeros, n)
+        size = mpmath.fsum(x * x for x in states)
+    extra = 0 if size == 0 else max(0, int(-mpmath.floor(mpmath.log10(size))))
+    with mpmath.workdps(50 + extra):
+        coeffs, _ = mpmath_cascade(zeros, n)
+        return 1 - mpmath.fsum(a * a for a in coeffs)
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +106,13 @@ class TestSingularInner:
         deficit = 1.0 - s.mass()
         assert deficit > 0.0
         assert deficit <= s.tail_mass_bound
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.floats(1e-4, 700.0), n=st.integers(0, 20000))
+    def test_tail_bound_covers_the_exact_tail(self, a, n):
+        # the full sequence has unit mass, so the exact tail is 1 - mass
+        s = singular_inner_coeffs(a, n)
+        assert s.tail_mass_bound >= 1.0 - math.fsum(s.coeffs**2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -186,14 +235,46 @@ class TestBlaschkeProduct:
         spec = BlaschkeSpec(np.array([0.5]))
         prod = blaschke_product_coeffs(spec, 40)
         fact = blaschke_factor_coeffs(0.5, 40)
-        assert np.array_equal(prod.coeffs, fact.coeffs)
+        assert np.max(np.abs(prod.coeffs - fact.coeffs)) <= 1e-15
+        assert prod.tail_mass_bound >= fact.tail_mass_bound
 
     def test_repeated_zero_equals_squared_factor(self):
         spec = BlaschkeSpec(np.array([0.5, 0.5]))
         prod = blaschke_product_coeffs(spec, 60)
-        fact = blaschke_factor_coeffs(0.5, 60)
-        sq = cauchy_product(fact, fact, 60)
-        assert np.array_equal(prod.coeffs, sq.coeffs)
+        assert np.max(np.abs(prod.coeffs - chain_product(spec.zeros, 60))) <= 1e-15
+
+    @settings(deadline=None, max_examples=80)
+    @given(zeros=st.lists(st.floats(0.0, 0.95), min_size=1, max_size=8),
+           n=st.integers(0, 400))
+    def test_cascade_matches_the_convolution_chain(self, zeros, n):
+        spec = BlaschkeSpec(np.array(zeros))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            prod = blaschke_product_coeffs(spec, n)
+        assert np.max(np.abs(prod.coeffs - chain_product(zeros, n))) <= 1e-14
+
+    # 0.01 is the smallest nonzero zero, so the 40-digit reference needs at
+    # most about 1250 digits; exact zeros make tails that are exactly 0.
+    @settings(deadline=None, max_examples=60)
+    @given(zeros=st.lists(st.one_of(st.just(0.0), st.floats(0.01, 0.95)),
+                          min_size=1, max_size=8),
+           n=st.integers(0, 300))
+    def test_tail_bound_against_mpmath(self, zeros, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            bound = blaschke_product_coeffs(BlaschkeSpec(np.array(zeros)), n).tail_mass_bound
+        reference = mpmath_tail(zeros, n)
+        assert bound >= reference
+        assert bound <= reference * (1 + mpmath.mpf("1e-6")) + mpmath.mpf("1e-300")
+
+    def test_tail_bound_pins(self):
+        # 1 - mass stored 2.27348140e-11 and 0.0 here: the difference cancels
+        with pytest.warns(RuntimeWarning):
+            small = blaschke_product_coeffs(BlaschkeSpec.dyadic(4), 200).tail_mass_bound
+        assert small == pytest.approx(2.27348449e-11, rel=1e-8, abs=0.0)
+        tiny = blaschke_product_coeffs(BlaschkeSpec.dyadic(9), 2**14).tail_mass_bound
+        assert tiny > 0.0
+        assert tiny == pytest.approx(3.83504013e-29, rel=1e-8, abs=0.0)
 
     def test_unresolved_truncation_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -226,12 +307,20 @@ class TestBlaschkeProduct:
         assert s.orthonormal_rows is True
 
     def test_work_ceiling(self, monkeypatch):
-        # factors x (n + 1)^2 may reach 10^10 multiply-adds and no more
-        assert blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 99999).order == 99999
-        with pytest.raises(ValueError, match="1 factors at order 100000 .* at most 1e"):
-            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 100000)
+        # factors x (n + 1) cascade steps may reach the ceiling and no more
+        with pytest.raises(ValueError, match="1001 factors at order 9999 .* at most 1e\\+07 "):
+            blaschke_product_coeffs(BlaschkeSpec(np.full(1001, 0.5)), 9999)
+        monkeypatch.setattr("mgapprox.inner._MAX_PRODUCT_WORK", 3 * 101)
+        assert blaschke_product_coeffs(BlaschkeSpec(np.full(3, 0.5)), 100).order == 100
+        assert blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 302).order == 302
+        with pytest.raises(ValueError, match="1 factors at order 303 need 304 cascade steps"):
+            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 303)
+        with pytest.raises(ValueError, match="3 factors at order 101 "):
+            blaschke_product_coeffs(BlaschkeSpec(np.full(3, 0.5)), 101)
+
+    def test_work_ceiling_refuses_before_any_work(self, monkeypatch):
         calls = []
-        monkeypatch.setattr("mgapprox.inner.cauchy_product", lambda *a: calls.append(a))
+        monkeypatch.setattr("mgapprox.inner._lossless_cascade", lambda *a: calls.append(a))
         with pytest.raises(ValueError, match="1000000 factors at order 1000 "):
             blaschke_product_coeffs(BlaschkeSpec.power(0.01, 10**6), 1000)
         assert calls == []
