@@ -41,6 +41,10 @@ __all__ = [
 
 Label = tuple[str, int]
 
+# Atoms per block of the digit matmul, so its float64 copy of the signs
+# stays at 4096 x V x 8 bytes (0.6 MB at V = 20) instead of 2^V x V x 8.
+_DIGIT_BLOCK = 4096
+
 
 def _digit_weight(label: Label, depth: int) -> float:
     """Weight of one carrier inside the packed digit (zero off the e-band)."""
@@ -79,7 +83,10 @@ class ExactModel:
         for j in range(v):  # carrier j is +1 where bit j of the atom index is set
             signs[:, j] = np.tile(np.repeat(pm, 2**j), 2 ** (v - 1 - j))
         weights = np.array([_digit_weight(lab, depth) for lab in labels])
-        digit = 1.0 + signs.astype(np.float64) @ weights
+        digit = np.empty(2**v)
+        for start in range(0, 2**v, _DIGIT_BLOCK):
+            block = slice(start, start + _DIGIT_BLOCK)
+            digit[block] = 1.0 + signs[block].astype(np.float64) @ weights
         f0 = signs[:, labels.index(("f", 0))].astype(np.float64)
         e0 = signs[:, labels.index(("e", 0))].astype(np.float64)
         observable = f0 * digit + 2.0 * e0

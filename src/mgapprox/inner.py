@@ -55,12 +55,22 @@ _GEOMETRIC_RESOLUTION = 1e-8
 # product starts.  Time is bounded separately, by _MAX_PRODUCT_WORK.
 _MAX_RULE_ZEROS = 10**6
 
-# Most cascade steps, factors x (n + 1), that blaschke_product_coeffs may
-# spend.  A step costs 0.02-0.05 microseconds once a product spans many
-# blocks, so long products stay under a second; each factor also costs about
-# 19 microseconds that the count does not see, so 10^6 factors at order 9
-# take about 19 s.
+# Most work, factors x (n + 1 + _FACTOR_STEPS) cascade steps, that
+# blaschke_product_coeffs may spend.  A step costs 0.016-0.05 microseconds
+# once a product spans many blocks, so products under the ceiling stay
+# under a second.
 _MAX_PRODUCT_WORK = 10**7
+
+# Fixed cost of one cascade section, in steps.  On a 2-core Xeon VM a
+# section cost 16-22 microseconds on top of its steps (10^4 and 10^5
+# power(0.01) factors at orders 0 and 9), about 1000 steps at the
+# long-product rate of 0.016-0.02 microseconds per step.  Counting steps
+# alone, 10^6 factors at order 9 are only 10^7 steps yet take 10-20 s.
+_FACTOR_STEPS = 1000
+
+# Longest singular series: the Laguerre recurrence is a Python loop of
+# about 1 microsecond per order, and order 10^9 asked for 7.45 GiB.
+_MAX_SINGULAR_ORDER = 10**7
 
 # Samples per block of a cascade section: each block is one lower-triangular
 # Toeplitz matmul of this size, shorter products use one block of n + 1.
@@ -84,7 +94,8 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     The partial sums satisfy A_k = exp(-a) L_k(2a); running the Laguerre
     three-term recurrence on the pre-scaled A_k keeps every intermediate
     O(1) instead of letting L_k and exp(-a) overflow/underflow separately.
-    a must lie in (0, 700], where the seed exp(-a) is a normal double.
+    a must lie in (0, 700], where the seed exp(-a) is a normal double, and
+    n in [0, 10^7]; ValueError is raised before any allocation otherwise.
 
     The tail-mass bound 2 sqrt(2a) / (pi sqrt(n)), capped at 1, integrates
     the square of the Newman-Shapiro amplitude pi^(-1/2) (2a)^(1/4) j^(-3/4)
@@ -103,6 +114,9 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     n = int(n)
     if n < 0:
         raise ValueError("truncation order must be >= 0")
+    if n > _MAX_SINGULAR_ORDER:
+        raise ValueError(f"truncation order {n} exceeds {_MAX_SINGULAR_ORDER:.0e}, the most "
+                         "recurrence steps supported")
     partial = np.empty(n + 1)
     partial[0] = math.exp(-a)
     if n >= 1:
@@ -242,15 +256,18 @@ def blaschke_product_coeffs(spec: BlaschkeSpec, n: int) -> CoefficientSeries:
     smallest normal double for underflow, as the tail bound.
 
     Warns when the slowest factor is not resolved at order n (max z^n above
-    1e-8).  Raises ValueError, before any allocation, when factors x (n + 1)
-    exceeds 10^7 cascade steps.
+    1e-8).  Raises ValueError, before any allocation, when the work,
+    factors x (n + 1) cascade steps plus 1000 steps per factor for its fixed
+    cost, exceeds 10^7 steps.
     """
     n = int(n)
     if n < 0:
         raise ValueError("truncation order must be >= 0")
-    work = spec.zeros.size * (n + 1)
+    steps = spec.zeros.size * (n + 1)
+    work = steps + spec.zeros.size * _FACTOR_STEPS
     if work > _MAX_PRODUCT_WORK:
-        raise ValueError(f"{spec.zeros.size} factors at order {n} need {work:.3g} cascade steps; "
+        raise ValueError(f"{spec.zeros.size} factors at order {n} need {work:.3g} steps "
+                         f"({_FACTOR_STEPS} per factor plus one per factor and order); "
                          f"at most {_MAX_PRODUCT_WORK:.0e} are supported")
     zmax = float(np.max(spec.zeros))
     if zmax > 0.0 and zmax**n > _GEOMETRIC_RESOLUTION:
@@ -261,7 +278,7 @@ def blaschke_product_coeffs(spec: BlaschkeSpec, n: int) -> CoefficientSeries:
             stacklevel=2,
         )
     coeffs, states = _lossless_cascade(spec.zeros, n)
-    tail = float(states @ states) * (1.0 + _TAIL_SLACK_PER_STEP * work)
+    tail = float(states @ states) * (1.0 + _TAIL_SLACK_PER_STEP * steps)
     tail += np.finfo(float).tiny
     return CoefficientSeries(coeffs, tail_mass_bound=tail, orthonormal_rows=True)
 

@@ -26,6 +26,7 @@ tables and the encoder/decoder use.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import (
     MAX_EMAX,
@@ -409,9 +410,7 @@ class LayerCodec:
         levels = [
             _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
         ]
-        # one {outcome: center} dict per level; the silent outcome decodes
-        # most samples, so decode tests it first
-        self._centers = [{(0, 0): centers[(0, 0)], **centers} for centers, _ in levels]
+        self._centers = [centers for centers, _ in levels]  # one {outcome: center} per level
         self._reach = [half for _, half in levels[1:]]  # _reach[l - 2] = r_{l-1}
         self._level_one_tol = self._context.divide(Decimal(float(params.rho[0])), 4)
 
@@ -496,11 +495,13 @@ def simulate_and_decode(params: LayerParams, samples: int, seed: int = 0) -> Dec
     """Draw level outcomes, encode them into one value, decode it back, and
     count exact recoveries.
 
-    Sample i uses the (seed, i) substream; per sample the draw order is
-    levels ascending, E before D, so the stream layout is part of the
-    contract.  Levels whose per-draw fire log-probability -2 log q_k lies
-    below FIRE_LOG_FLOOR cannot fire within any feasible budget; they are
-    skipped and the skipped probability mass is reported.
+    Sample i draws all its uniforms with one ``random`` call on the (seed, i)
+    substream; the layout, levels ascending and E before D, is part of the
+    contract.  A uniform below half the fire probability gives sign -1,
+    below it +1.  Each distinct outcome pattern is encoded and decoded once
+    and weighted by its count.  Levels whose per-draw fire log-probability
+    -2 log q_k lies below FIRE_LOG_FLOOR cannot fire within any feasible
+    budget; they are skipped and the skipped probability mass is reported.
     """
     samples = int(samples)
     if samples < 1:
@@ -509,41 +510,40 @@ def simulate_and_decode(params: LayerParams, samples: int, seed: int = 0) -> Dec
     k = params.level_count
     fire_log = -2.0 * params.log_q
     suppressed = fire_log < FIRE_LOG_FLOOR
-    live = [lvl for lvl in range(k) if not suppressed[lvl]]
-    fire = np.exp(fire_log)
+    fire = np.exp(fire_log[~suppressed])
+    # a uniform below thresholds[0] fires the draw, below thresholds[1] with sign -1
+    thresholds = np.stack((fire, 0.5 * fire))[:, :, None]
     if np.any(suppressed):
         log_keep = 2.0 * np.sum(np.log1p(-np.exp(fire_log[suppressed])))
         miss = -float(math.expm1(log_keep))
     else:
         miss = 0.0
 
-    recovered = failures = boundary = 0
-    nonzero = [0] * k
+    tally = Counter()
     for i in range(samples):
-        rng = substream(seed, i)
-        xs = [0] * k
-        ys = [0] * k
-        for lvl in live:
-            for bucket in (xs, ys):
-                u = rng.random()
-                if u < 0.5 * fire[lvl]:
-                    bucket[lvl] = -1
-                elif u < fire[lvl]:
-                    bucket[lvl] = 1
-            nonzero[lvl] += (xs[lvl] != 0) + (ys[lvl] != 0)
+        tally[(substream(seed, i).random((fire.size, 2)) < thresholds).tobytes()] += 1
+
+    recovered = failures = boundary = 0
+    nonzero = np.zeros(k, dtype=np.int64)
+    for key, count in tally.items():
+        below_fire, below_half = np.frombuffer(key, dtype=bool).reshape(2, -1, 2)
+        pattern = np.zeros((k, 2), dtype=np.int8)
+        pattern[~suppressed] = below_fire.view(np.int8) - 2 * below_half.view(np.int8)
+        nonzero += count * np.count_nonzero(pattern, axis=1)
+        xs, ys = tuple(pattern[:, 0].tolist()), tuple(pattern[:, 1].tolist())
         out = codec.decode(codec.encode(xs, ys))
         if out.boundary:
-            boundary += 1
-        elif out.ok and out.x_signs == tuple(xs) and out.y_signs == tuple(ys):
-            recovered += 1
+            boundary += count
+        elif out.ok and out.x_signs == xs and out.y_signs == ys:
+            recovered += count
         else:
-            failures += 1
+            failures += count
     return DecodeReport(
         samples=samples,
         recovered=recovered,
         failures=failures,
         boundary_hits=boundary,
-        nonzero_draws=tuple(nonzero),
+        nonzero_draws=tuple(nonzero.tolist()),
         suppressed_levels=tuple(lvl + 1 for lvl in range(k) if suppressed[lvl]),
         miss_probability=miss,
         seed=int(seed),

@@ -407,6 +407,13 @@ class TestExitStatus:
         assert "1000000 factors at order 1000" in capsys.readouterr().err
         assert os.listdir() == []
 
+    @pytest.mark.parametrize("command", ["inner", "cesaro", "gap"])
+    def test_singular_order_ceiling(self, command, capsys):
+        # order 10^9 asked for 7.45 GiB and a 10^9-step loop
+        assert run(command, "--trunc", "10000001") == 1
+        assert "truncation order 10000001 exceeds 1e+07" in capsys.readouterr().err
+        assert os.listdir() == []
+
     def test_singular_a_range(self, capsys):
         # exp(-746) is 0: the old recurrence wrote all-zero coefficients
         assert run("gap", "--a", "746") == 1
@@ -421,18 +428,23 @@ class TestExitStatus:
 
 
 def test_traced_run_counts_rows(tmp_path):
-    """perfbench/tracer.py patches names on mgapprox.cli and
-    mgapprox.exact_model; a traced run must still write its tables and
-    count its rows and atoms."""
+    """perfbench/tracer.py patches names on mgapprox.cli,
+    mgapprox.exact_model and mgapprox.layered_process; a traced run must
+    still write its tables and count its rows, atoms and calls."""
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(out)})
     cases = [
-        (("inner", "--trunc", "3"), 4, "inner_series.csv", {}),
+        (("inner", "--trunc", "3"), 4, "inner_series.csv", {}, {}),
         # 13 conditional expectations over the 256 atoms of depth 2
         (("prop2", "--depth", "2"), 6, "prop2_summary.csv",
-         {"exact_model.conditional_expectation.atoms": 13 * 256}),
+         {"exact_model.conditional_expectation.atoms": 13 * 256}, {}),
+        # one substream per sample; the 50 samples hold the four level-1
+        # patterns, each encoded and decoded once
+        (("prop3", "--K", "4", "--samples", "50"), 4 + 11 + 1, "prop3_decode.csv", {},
+         {"rng.substream": 50, "layered_process.LayerCodec.init": 1,
+          "layered_process.encode": 4, "layered_process.decode": 4}),
     ]
-    for argv, rows, table, counts in cases:
+    for argv, rows, table, counts, calls in cases:
         spans = tmp_path / f"{argv[0]}_spans.json"
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv],
@@ -443,6 +455,7 @@ def test_traced_run_counts_rows(tmp_path):
         assert "cli.emit_table.csv" in summary["spans"]
         assert summary["counts"]["cli.rows"] == rows
         assert counts.items() <= summary["counts"].items()
+        assert {name: summary["spans"][name][0] for name in calls} == calls
         assert (out / table).exists()
 
 

@@ -17,6 +17,7 @@ from mgapprox import (
     martingale_difference_norms,
     remote_past_projection,
 )
+from mgapprox.exact_model import _digit_weight
 
 
 def analytic_root_norm(depth):
@@ -39,6 +40,13 @@ class TestBuild:
     def test_signs_enumerate_all_atoms(self, model3):
         rows = {tuple(r) for r in model3.signs}
         assert len(rows) == 2**10
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_blocked_digit_equals_the_unblocked_product(self, depth):
+        # the oracle is the one-shot (2^V, V) float64 matmul the blocks replace
+        model = ExactModel.build(depth)
+        weights = np.array([_digit_weight(label, depth) for label in model.labels])
+        assert np.array_equal(model.digit, 1.0 + model.signs.astype(np.float64) @ weights)
 
     def test_digit_range_and_mean(self, model3):
         assert np.all(model3.digit > 0.0)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -106,6 +107,21 @@ class TestSingularInner:
         deficit = 1.0 - s.mass()
         assert deficit > 0.0
         assert deficit <= s.tail_mass_bound
+
+    def test_order_ceiling_refuses_before_allocating(self, monkeypatch):
+        # order 10^7 passes the check and reaches the allocation; one more
+        # is refused before it
+        class Allocated(Exception):
+            pass
+
+        def empty(*args, **kwargs):
+            raise Allocated
+
+        monkeypatch.setattr("mgapprox.inner.np", SimpleNamespace(empty=empty))
+        with pytest.raises(Allocated):
+            singular_inner_coeffs(1.0, 10**7)
+        with pytest.raises(ValueError, match="truncation order 10000001 exceeds 1e\\+07"):
+            singular_inner_coeffs(1.0, 10**7 + 1)
 
     @settings(deadline=None, max_examples=60)
     @given(a=st.floats(1e-4, 700.0), n=st.integers(0, 20000))
@@ -307,22 +323,34 @@ class TestBlaschkeProduct:
         assert s.orthonormal_rows is True
 
     def test_work_ceiling(self, monkeypatch):
-        # factors x (n + 1) cascade steps may reach the ceiling and no more
-        with pytest.raises(ValueError, match="1001 factors at order 9999 .* at most 1e\\+07 "):
+        # factors x (n + 1 + 1000) steps may reach the ceiling and no more
+        with pytest.raises(ValueError, match="1001 factors at order 9999 need 1.1e\\+07 steps "
+                                             "\\(1000 per factor .* at most 1e\\+07 "):
             blaschke_product_coeffs(BlaschkeSpec(np.full(1001, 0.5)), 9999)
-        monkeypatch.setattr("mgapprox.inner._MAX_PRODUCT_WORK", 3 * 101)
+        monkeypatch.setattr("mgapprox.inner._MAX_PRODUCT_WORK", 3 * 1101)
         assert blaschke_product_coeffs(BlaschkeSpec(np.full(3, 0.5)), 100).order == 100
-        assert blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 302).order == 302
-        with pytest.raises(ValueError, match="1 factors at order 303 need 304 cascade steps"):
-            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 303)
+        assert blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 2302).order == 2302
+        with pytest.raises(ValueError, match="1 factors at order 2303 need 3.3e\\+03 steps"):
+            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 2303)
         with pytest.raises(ValueError, match="3 factors at order 101 "):
             blaschke_product_coeffs(BlaschkeSpec(np.full(3, 0.5)), 101)
 
-    def test_work_ceiling_refuses_before_any_work(self, monkeypatch):
+    def test_per_factor_charge_does_not_move_the_tail_slack(self, monkeypatch):
+        # the slack scales with cascade steps only, so raising the charge
+        # leaves the stored tail as it was
+        spec = BlaschkeSpec(np.array([0.1, 0.3, 0.5]))
+        before = blaschke_product_coeffs(spec, 40).tail_mass_bound
+        monkeypatch.setattr("mgapprox.inner._FACTOR_STEPS", 10**6)
+        assert blaschke_product_coeffs(spec, 40).tail_mass_bound == before
+
+    @pytest.mark.parametrize("count, n", [(10**6, 1000), (10**6, 9), (10**4, 0)])
+    def test_work_ceiling_refuses_before_any_work(self, monkeypatch, count, n):
+        # 10^6 factors at order 9 is 10^7 cascade steps, but their fixed
+        # costs add 10^9 more; 10^4 factors at order 0 need 1.001e7
         calls = []
         monkeypatch.setattr("mgapprox.inner._lossless_cascade", lambda *a: calls.append(a))
-        with pytest.raises(ValueError, match="1000000 factors at order 1000 "):
-            blaschke_product_coeffs(BlaschkeSpec.power(0.01, 10**6), 1000)
+        with pytest.raises(ValueError, match=f"{count} factors at order {n} "):
+            blaschke_product_coeffs(BlaschkeSpec.power(0.01, count), n)
         assert calls == []
 
 

@@ -5,13 +5,18 @@ import itertools
 import math
 import re
 from dataclasses import fields, replace
+from functools import cache
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgapprox import (
     FIRE_LOG_FLOOR,
+    DecodedSample,
+    DecodeReport,
     InvariantViolation,
     LayerCodec,
     LayerParams,
@@ -23,6 +28,7 @@ from mgapprox import (
     residual_norm_sq_natural,
     simulate_and_decode,
     simulate_level_one_variance,
+    substream,
     synthesize_layer_params,
 )
 from mgapprox.layered_process import _tail_inverse_squares, _working_dps
@@ -407,6 +413,98 @@ class TestSimulateAndDecode:
     def test_sample_count_validation(self, layer_params_k4):
         with pytest.raises(ValueError):
             simulate_and_decode(layer_params_k4, 0)
+
+
+@cache
+def params_for(level_count):
+    return synthesize_layer_params(inv_sqrt_log_rule(), level_count)
+
+
+def per_draw_oracle(params, samples, seed):
+    """The per-draw reference for simulate_and_decode: one scalar uniform per
+    live level and draw, one encode and decode per sample."""
+    codec = LayerCodec(params)
+    k = params.level_count
+    fire_log = -2.0 * params.log_q
+    suppressed = fire_log < FIRE_LOG_FLOOR
+    fire = np.exp(fire_log)
+    if np.any(suppressed):
+        miss = -float(math.expm1(2.0 * np.sum(np.log1p(-np.exp(fire_log[suppressed])))))
+    else:
+        miss = 0.0
+    recovered = failures = boundary = 0
+    nonzero = [0] * k
+    for i in range(samples):
+        rng = substream(seed, i)
+        xs = [0] * k
+        ys = [0] * k
+        for lvl in np.flatnonzero(~suppressed):
+            for bucket in (xs, ys):
+                u = rng.random()
+                if u < 0.5 * fire[lvl]:
+                    bucket[lvl] = -1
+                elif u < fire[lvl]:
+                    bucket[lvl] = 1
+            nonzero[lvl] += (xs[lvl] != 0) + (ys[lvl] != 0)
+        out = codec.decode(codec.encode(xs, ys))
+        if out.boundary:
+            boundary += 1
+        elif out.ok and out.x_signs == tuple(xs) and out.y_signs == tuple(ys):
+            recovered += 1
+        else:
+            failures += 1
+    return DecodeReport(
+        samples=samples,
+        recovered=recovered,
+        failures=failures,
+        boundary_hits=boundary,
+        nonzero_draws=tuple(nonzero),
+        suppressed_levels=tuple(int(lvl) + 1 for lvl in np.flatnonzero(suppressed)),
+        miss_probability=miss,
+        seed=seed,
+    )
+
+
+class TestPatternTallyMatchesThePerDrawOracle:
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**64 - 1), level_count=st.sampled_from([2, 4, 8]),
+           samples=st.integers(1, 300))
+    def test_reports_equal_field_by_field(self, seed, level_count, samples):
+        params = params_for(level_count)
+        tally = simulate_and_decode(params, samples, seed)
+        oracle = per_draw_oracle(params, samples, seed)
+        for f in fields(DecodeReport):
+            assert getattr(tally, f.name) == getattr(oracle, f.name), f.name
+        assert all(type(n) is int for n in tally.nonzero_draws)
+
+    def test_boundary_and_failure_counts_are_weighted(self, monkeypatch):
+        # real draws always decode; force verdicts on two level-1 patterns so
+        # the count weighting of the boundary and failure branches shows
+        decode = LayerCodec.decode
+        decoded = []
+
+        def forced(codec, value):
+            out = decode(codec, value)
+            decoded.append((out.x_signs, out.y_signs))
+            pair = (out.x_signs[0], out.y_signs[0])
+            if pair == (-1, 1):
+                return DecodedSample(out.x_signs, out.y_signs, ok=False, boundary=True,
+                                     fail_level=1)
+            if pair == (1, 1):
+                return DecodedSample(out.x_signs, out.y_signs, ok=False, fail_level=1)
+            return out
+
+        monkeypatch.setattr(LayerCodec, "decode", forced)
+        params = params_for(4)
+        tally = simulate_and_decode(params, 400, seed=11)
+        distinct = list(decoded)
+        oracle = per_draw_oracle(params, 400, 11)
+        assert tally == oracle
+        assert tally.boundary_hits > 0 and tally.failures > 0 and tally.recovered > 0
+        assert tally.boundary_hits + tally.failures + tally.recovered == 400
+        # q_1 = 1 fires level 1 on every draw: four patterns, decoded once each
+        assert len(distinct) == len(set(distinct)) == 4
+        assert len(decoded) == len(distinct) + 400
 
 
 class TestLevelOneVariance:
