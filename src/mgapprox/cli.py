@@ -241,12 +241,36 @@ _CELL_TEXT = {
     str: str,
 }
 
+# The JSON twin: the text json.dumps gives each cell type.
+_JSON_TEXT = {**_CELL_TEXT, type(None): lambda value: "null", str: json.dumps,
+              float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}
+# Per format, the cell texts and the %-spec of a column holding a single type,
+# byte for byte its cells' text; a JSON float column with NaN or inf gets none.
+_RENDER = {
+    "csv": (_CELL_TEXT, {int: "%d", float: "%.17g", str: "%s"}),
+    "json": (_JSON_TEXT, {int: "%d", float: "%r"}),
+}
+_ROW_BLOCK = 4096  # rows rendered by one %-operation and written at once
 
-def _write_text(path: str, text: str) -> None:
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+
+def _write_chunks(path: str, chunks) -> None:
+    """Write text chunks to path, removing it if any chunk fails to render or write."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _row_blocks(row: str, columns: list, start: int, stop: int):
+    """Rows start..stop of (column, cell texts or None) pairs, _ROW_BLOCK at a time."""
+    for lo in range(start, stop, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, stop)
+        cells = [c[lo:hi] if t is None else [t[type(x)](x) for x in c[lo:hi]] for c, t in columns]
+        yield row * (hi - lo) % tuple(chain.from_iterable(zip(*cells)))
 
 
 def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list[str]:
@@ -256,9 +280,12 @@ def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list
     other type, a numpy scalar included, raises TypeError naming its column.
     CSV: header row, '.' decimal separator, floats at 17 significant
     digits, None as the empty cell, booleans as true/false; metadata goes
-    to a {path}.meta.json sidecar.  JSON: one object nesting metadata, the
-    schema, and a rows array.  Both renderings are byte-stable for fixed
-    inputs.
+    to a {path}.meta.json sidecar.  JSON: the object json.dumps(sort_keys=True,
+    indent=2) makes of metadata, schema and rows.  Both renderings are
+    byte-stable for fixed inputs.  A column of one type renders through a
+    %-spec, any other cell by cell; the specs form one row template that
+    renders and writes _ROW_BLOCK rows at a time.  A file whose rendering or
+    writing fails partway is removed, so a failure leaves no table file.
     """
     rows = list(rows)
     for row in rows:
@@ -266,20 +293,35 @@ def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list
             raise ValueError("schema does not match row width")
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
-    if not set(map(type, chain.from_iterable(rows))) <= _CELL_TEXT.keys():
+    columns = list(zip(*rows)) if rows else [()] * len(schema)
+    kinds = [set(map(type, column)) for column in columns]
+    if not set().union(*kinds) <= _CELL_TEXT.keys():
         name, kind = next((name, type(cell)) for row in rows for name, cell in zip(schema, row)
                           if type(cell) not in _CELL_TEXT)
         raise TypeError(f"column {name!r} holds a cell of type {kind.__name__}; "
                         "cells must be None, bool, int, float or str")
+    cell_text, column_spec = _RENDER[out_format]
+    specs = []
+    for j, kind in enumerate(kinds):
+        spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
+        plain = spec is not None and (spec != "%r" or all(map(math.isfinite, columns[j])))
+        columns[j] = (columns[j], None if plain else cell_text)
+        specs.append(spec if plain else "%s")
     if out_format == "csv":
-        lines = [",".join(schema)]
-        lines += [",".join([_CELL_TEXT[type(cell)](cell) for cell in row]) for row in rows]
-        _write_text(path, "\n".join(lines) + "\n")
-        sidecar = path + ".meta.json"
-        _write_text(sidecar, json.dumps(metadata, sort_keys=True, indent=2) + "\n")
-        return [path, sidecar]
-    payload = {"metadata": metadata, "schema": list(schema), "rows": rows}
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
+        blocks = _row_blocks(",".join(specs) + "\n", columns, 0, len(rows))
+        _write_chunks(path, chain([",".join(schema) + "\n"], blocks))
+        _write_chunks(path + ".meta.json", [sidecar])
+        return [path, path + ".meta.json"]
+    # keys in sorted order; every row but the last ends in a comma
+    row = "    [" + ("\n      " + ",\n      ".join(specs) + "\n    " if specs else "") + "]"
+    last = max(len(rows) - 1, 0)
+    meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+                   for v in (metadata, list(schema)))
+    head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(rows)
+    tail = "  " * bool(rows) + f'],\n  "schema": {names}\n}}\n'
+    _write_chunks(path, chain([head], _row_blocks(row + ",\n", columns, 0, last),
+                              _row_blocks(row + "\n", columns, last, len(rows)), [tail]))
     return [path]
 
 

@@ -4,6 +4,7 @@ The library modules never import the CLI; this is the only test file that
 does, which keeps the adapter thin by construction.
 """
 
+import csv
 import json
 import math
 import os
@@ -16,8 +17,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgapprox import InvariantViolation, dyadic_midpoint_report, hannan_sum
-from mgapprox.cli import OUT_DIR_ENV, UsageError, emit_table, main
+from mgapprox import (
+    InvariantViolation,
+    cesaro_profile,
+    dyadic_midpoint_report,
+    hannan_sum,
+    singular_inner_coeffs,
+)
+from mgapprox.cli import _ROW_BLOCK, OUT_DIR_ENV, UsageError, emit_table, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -83,6 +90,42 @@ NATIVE_CELLS = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=",")),
 )
 
+TRICKY_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\\n\r\t,é€😀'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+
+
+def typed_column(n):
+    """n cells of one kind, the kinds emit_table renders through one spec or
+    cell by cell."""
+    def cells(cell):
+        return st.lists(cell, min_size=n, max_size=n)
+
+    return st.one_of(
+        cells(st.integers()),
+        cells(st.floats(allow_nan=False, allow_infinity=False)),
+        cells(st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]))),
+        cells(st.floats()).map(lambda column: [None, *column[1:]][:n]),
+        cells(st.booleans()),
+        cells(TRICKY_TEXT),
+    )
+
+
+TYPED_TABLES = st.integers(0, 12).flatmap(lambda n: st.lists(typed_column(n), min_size=1, max_size=5))
+
+
+def block_table(n):
+    """One column of each kind, n rows."""
+    return [
+        list(range(-n, n, 2)),
+        [i / 7 for i in range(n)],
+        [[math.nan, math.inf, -math.inf, -0.0][i % 4] if i % 5 == 0 else i / 3 for i in range(n)],
+        [None, *(i / 3 for i in range(1, n))],
+        [i % 3 == 0 for i in range(n)],
+        ['a"b\\c\nd' + "é" * (i % 3) for i in range(n)],
+    ]
+
 
 class TestEmitTable:
     @settings(deadline=None, max_examples=100)
@@ -102,6 +145,38 @@ class TestEmitTable:
         path = f"t.{out_format}"
         emit_table(rows, schema, out_format, path, metadata)
         assert read(path) == reference_bytes(rows, schema, out_format, metadata)
+
+    @settings(deadline=None, max_examples=100)
+    @given(columns=TYPED_TABLES,
+           metadata=st.sampled_from([{}, {"config": {"horizons": [1, 10]}}, {"rows": []}]))
+    @example(columns=[[], []], metadata={})
+    @example(columns=[[7], [0.5], [math.nan], [None], [True], ['"\\\n€']], metadata={})
+    @example(columns=block_table(_ROW_BLOCK), metadata={"config": {"trunc": 3}})
+    @example(columns=block_table(_ROW_BLOCK + 1), metadata={"rows": [], "config": {"rows": []}})
+    def test_typed_columns_match_the_per_cell_oracle(self, columns, metadata):
+        schema = [f"c{j}" for j in range(len(columns))]
+        for out_format in ("json", "csv"):
+            if out_format == "csv":  # CSV cells are written unquoted
+                columns = [[c.replace(",", "") if type(c) is str else c for c in column]
+                           for column in columns]
+            rows = list(zip(*columns))
+            path = f"t.{out_format}"
+            emit_table(rows, schema, out_format, path, metadata)
+            assert read(path) == reference_bytes(rows, schema, out_format, metadata)
+
+    @pytest.mark.parametrize("out_format, column, cell, error", [
+        ("csv", 0, 10 ** sys.get_int_max_str_digits(), "integer string conversion"),
+        ("json", 0, 10 ** sys.get_int_max_str_digits(), "integer string conversion"),
+        ("csv", 2, "\ud800", "surrogates not allowed"),
+    ], ids=["long-int-csv", "long-int-json", "surrogate-csv"])
+    def test_cell_failing_in_the_last_block_leaves_no_file(self, out_format, column, cell, error):
+        """These cells pass the type check and fail only when their block
+        is rendered or encoded, after earlier blocks were written."""
+        rows = [[i, i / 3, "x"] for i in range(_ROW_BLOCK + 1)]
+        rows[-1][column] = cell
+        with pytest.raises(ValueError, match=error):
+            emit_table(rows, ["n", "x", "tag"], out_format, f"t.{out_format}", {})
+        assert os.listdir() == []
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("cell", [np.int64(3), np.float64(0.5)], ids=["int64", "float64"])
@@ -163,6 +238,23 @@ class TestRunsAndValues:
         second = lines[2].split(",")
         assert second[1] == format(-2.0 * math.exp(-1.0), ".17g")
         assert second[3] == format(math.exp(-1.0), ".17g")
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_inner_round_trips_across_blocks(self, out_format):
+        trunc = 20000
+        assert run("inner", "--trunc", str(trunc), "--out", out_format) == 0
+        if out_format == "csv":
+            with open("inner_series.csv", newline="", encoding="utf-8") as fh:
+                rows = [[float(x) if x else None for x in row] for row in list(csv.reader(fh))[1:]]
+        else:
+            rows = json.loads(read("inner_series.json"))["rows"]
+        series = singular_inner_coeffs(1.0, trunc)
+        profile = cesaro_profile(series)
+        n, a_n, A_n, M_n, _ = zip(*rows)
+        assert list(n) == list(range(trunc + 1))
+        assert list(a_n) == series.coeffs.tolist()
+        assert list(A_n) == profile.partial_sums.tolist()
+        assert list(M_n) == [None, *profile.cesaro_means.tolist()]
 
     def test_gap_uses_certified_window_norm(self):
         assert run("gap", "--trunc", "50", "--horizons", "5", "--c", "0") == 0
@@ -435,6 +527,7 @@ def test_traced_run_counts_rows(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(out)})
     cases = [
         (("inner", "--trunc", "3"), 4, "inner_series.csv", {}, {}),
+        (("inner", "--trunc", "3", "--out", "json"), 4, "inner_series.json", {}, {}),
         # 13 conditional expectations over the 256 atoms of depth 2
         (("prop2", "--depth", "2"), 6, "prop2_summary.csv",
          {"exact_model.conditional_expectation.atoms": 13 * 256}, {}),
@@ -445,15 +538,17 @@ def test_traced_run_counts_rows(tmp_path):
           "layered_process.encode": 4, "layered_process.decode": 4}),
     ]
     for argv, rows, table, counts, calls in cases:
-        spans = tmp_path / f"{argv[0]}_spans.json"
+        spans = tmp_path / f"{table}_spans.json"
         proc = subprocess.run(
             [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(spans), *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(spans.read_text())
-        assert "cli.emit_table.csv" in summary["spans"]
+        assert f"cli.emit_table.{table.rsplit('.', 1)[1]}" in summary["spans"]
         assert summary["counts"]["cli.rows"] == rows
+        written = proc.stdout.split()
+        assert summary["counts"]["cli.out_bytes"] == sum(map(os.path.getsize, written))
         assert counts.items() <= summary["counts"].items()
         assert {name: summary["spans"][name][0] for name in calls} == calls
         assert (out / table).exists()
