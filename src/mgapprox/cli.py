@@ -1,9 +1,11 @@
 """Command-line driver for every experiment in the package.
 
-Each subcommand is a thin adapter: it calls library functions on the
-resolved configuration and returns their results as tables of native
-Python values; main writes the tables only once all of them are computed,
-so a failed command writes no file.  No numeric logic lives here.
+Each subcommand is a thin adapter, registered by ``_command`` together with
+its help line and options: it calls library functions on the resolved
+configuration and returns their results as tables of named columns of
+native Python values, built by ``_table``; main writes the tables only once
+all of them are computed, so a failed command writes no file.  No numeric
+logic lives here.
 Configuration comes from flags, then a key=value config file, then
 documented defaults; the resolved configuration is echoed into the output
 metadata, and rerunning with an identical configuration produces
@@ -49,6 +51,7 @@ from .inner import (
     singular_inner_coeffs,
 )
 from .layered_process import (
+    DEFAULT_SEARCH_CAP,
     decoding_table,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
     inv_sqrt_log_rule,
     power_rule,
@@ -124,37 +127,17 @@ _SOURCE = [
     Opt("factors", int, 12, "number of Blaschke factors (default 12)"),
 ]
 
-_OPTS: dict[str, list[Opt]] = {
-    "inner": _COMMON + _SOURCE + [
-        Opt("trunc", int, 1000, "truncation order (default 1000)"),
-    ],
-    "cesaro": _COMMON + _SOURCE + [
-        Opt("trunc", int, 10000, "truncation order (default 10000)"),
-    ],
-    "gap": _COMMON + _SOURCE + [
-        Opt("trunc", int, 10000, "truncation order (default 10000)"),
-        Opt("horizons", _parse_int_list, (1, 10, 100, 1000, 10000),
-            "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)"),
-        Opt("c", float, None, "scalar to test; omitted means the minimizer"),
-    ],
-    "prop6": _COMMON + [
-        Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)"),
-        Opt("k-max", int, 40, "zeros kept in the full product (default 40)"),
-    ],
-    "prop3": _COMMON + [
-        Opt("K", int, 4, "number of synthesized levels (default 4)"),
-        Opt("b-rule", str, "invsqrtlog",
-            "floor sequence: invsqrtlog or power:<beta>"),
-        Opt("samples", int, 10000, "encode/decode round trips (default 10000)"),
-        Opt("search-cap", int, 10**6, "horizon search cap (default 10^6)"),
-        Opt("horizons", _parse_int_list, None,
-            "norm-table horizons (default: powers of 10 merged with the "
-            "synthesized horizons)"),
-    ],
-    "prop2": _COMMON + [
-        Opt("depth", int, 3, "carrier depth, 1..6 (default 3)"),
-    ],
-}
+_COMMANDS: dict[str, Callable[[dict], list[tuple]]] = {}
+
+
+def _command(name: str, *opts: Opt):
+    """Register the decorated table function as subcommand ``name``; its
+    docstring is the help line, and it takes the common options plus opts."""
+    def register(run):
+        run.opts = _COMMON + list(opts)
+        _COMMANDS[name] = run
+        return run
+    return register
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -177,7 +160,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
-    opts = {opt.name.replace("-", "_"): opt for opt in _OPTS[command]}
+    opts = {opt.name.replace("-", "_"): opt for opt in _COMMANDS[command].opts}
     flags = {key: getattr(args, key) for key in opts}
     file_cfg: dict[str, str] = {}
     if flags["config"] is not None:
@@ -194,8 +177,6 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         elif key in file_cfg:
             try:
                 cfg[key] = opt.conv(file_cfg[key])
-            except UsageError:
-                raise
             except ValueError as exc:
                 raise UsageError(f"bad value for {key}: {file_cfg[key]!r}") from exc
         else:
@@ -213,17 +194,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="martingale-approximation experiments with deterministic outputs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    descr = {
-        "inner": "inner-function coefficient table (n, a_n, A_n, M_n, main_term)",
-        "cesaro": "partial sums and Cesaro means of a coefficient sequence",
-        "gap": "window-sum gap reports for scalar martingale approximants",
-        "prop6": "dyadic Blaschke midpoint bounds per level",
-        "prop3": "layered-process synthesis, residual norms, decode summary",
-        "prop2": "exact filtration model: increment norms and digit decoding",
-    }
-    for command, opts in _OPTS.items():
-        p = sub.add_parser(command, help=descr[command])
-        for opt in opts:
+    for command, run in _COMMANDS.items():
+        p = sub.add_parser(command, help=run.__doc__)
+        for opt in run.opts:
             p.add_argument(f"--{opt.name}", type=opt.conv, default=None, help=opt.help)
     return parser
 
@@ -348,12 +321,27 @@ def _stem(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # commands
 #
-# Each command returns its tables as (name, schema, rows) and writes nothing;
-# main writes them once every table is computed.
+# Each command returns its tables as _table results and writes nothing; main
+# writes them once every table is computed.
 
 def _table(name: str, **columns: list) -> tuple:
-    """A (name, schema, rows) table zipped from equal-length named columns."""
+    """A (name, schema, rows) table zipped from equal-length named columns.
+
+    This is the one place columns become rows: emit_table takes rows, and
+    perfbench/tracer.py counts a table's rows as the length of emit_table's
+    first argument and names its span by the third.
+    """
     return name, list(columns), list(zip(*columns.values(), strict=True))
+
+
+def _row(name: str, **cells) -> tuple:
+    """A one-row table of named cells."""
+    return _table(name, **{key: [cell] for key, cell in cells.items()})
+
+
+def _fields(records: list, *names: str) -> dict[str, list]:
+    """Columns named after attributes of ``records``, one cell per record."""
+    return {name: [getattr(rec, name) for rec in records] for name in names}
 
 
 def _build_series(cfg):
@@ -376,7 +364,9 @@ def _blaschke_spec(cfg) -> BlaschkeSpec:
     raise UsageError(f"rule must be dyadic or power, got {rule!r}")
 
 
+@_command("inner", *_SOURCE, Opt("trunc", int, 1000, "truncation order (default 1000)"))
 def _cmd_inner(cfg) -> list[tuple]:
+    """inner-function coefficient table (n, a_n, A_n, M_n, main_term)"""
     series = _build_series(cfg)
     profile = cesaro_profile(series)
     order = series.order
@@ -393,7 +383,9 @@ def _cmd_inner(cfg) -> list[tuple]:
     )]
 
 
+@_command("cesaro", *_SOURCE, Opt("trunc", int, 10000, "truncation order (default 10000)"))
 def _cmd_cesaro(cfg) -> list[tuple]:
+    """partial sums and Cesaro means of a coefficient sequence"""
     series = _build_series(cfg)
     profile = cesaro_profile(series)
     return [_table(
@@ -404,40 +396,45 @@ def _cmd_cesaro(cfg) -> list[tuple]:
     )]
 
 
+@_command("gap", *_SOURCE, Opt("trunc", int, 10000, "truncation order (default 10000)"),
+          Opt("horizons", _parse_int_list, (1, 10, 100, 1000, 10000),
+              "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)"),
+          Opt("c", float, None, "scalar to test; omitted means the minimizer"))
 def _cmd_gap(cfg) -> list[tuple]:
+    """window-sum gap reports for scalar martingale approximants"""
     series = _build_series(cfg)
     if cfg["c"] is None:
         reports = [best_scalar_gap(series, n) for n in cfg["horizons"]]
     else:
         reports = [approximation_gap(series, cfg["c"], n) for n in cfg["horizons"]]
-    schema = ["n", "c", "sum_norm_sq", "cross", "gap_sq", "c_star", "min_gap_sq"]
-    return [("gap", schema, [[getattr(rep, key) for key in schema] for rep in reports])]
+    return [_table("gap", **_fields(
+        reports, "n", "c", "sum_norm_sq", "cross", "gap_sq", "c_star", "min_gap_sq",
+    ))]
 
 
+@_command("prop6", Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)"),
+          Opt("k-max", int, 40, "zeros kept in the full product (default 40)"))
 def _cmd_prop6(cfg) -> list[tuple]:
+    """dyadic Blaschke midpoint bounds per level"""
     lo, hi = cfg["n_range"]
     k_max = cfg["k_max"]
     if lo < 1 or hi + 1 > k_max:
         raise UsageError("need 1 <= LO and HI + 1 <= k-max")
     spec = BlaschkeSpec.dyadic(k_max)
-    rows = []
-    for level in range(lo, hi + 1):
-        rep = dyadic_midpoint_report(level, k_max)
-        zero_val = abs(blaschke_eval_radial(spec, spec.zeros[level - 1]))
-        floor = rep.c_bound**2 / 64.0
-        rows.append([
-            level, rep.r, rep.p1, rep.p2, rep.p3, rep.p4, rep.product,
-            rep.c_bound, zero_val,
-            rep.p1 >= rep.c_bound, rep.p2 >= 0.125,
-            rep.p3 >= 0.125, rep.p4 >= rep.c_bound,
-            rep.product >= floor, zero_val == 0.0,
-        ])
-    schema = [
-        "level", "r", "p1", "p2", "p3", "p4", "product", "c_bound",
-        "value_at_zero", "p1_ok", "p2_ok", "p3_ok", "p4_ok",
-        "product_ok", "zero_ok",
-    ]
-    return [("bounds", schema, rows)]
+    levels = range(lo, hi + 1)
+    reps = [dyadic_midpoint_report(level, k_max) for level in levels]
+    at_zero = [abs(blaschke_eval_radial(spec, spec.zeros[level - 1])) for level in levels]
+    return [_table(
+        "bounds",
+        **_fields(reps, "level", "r", "p1", "p2", "p3", "p4", "product", "c_bound"),
+        value_at_zero=at_zero,
+        p1_ok=[rep.p1 >= rep.c_bound for rep in reps],
+        p2_ok=[rep.p2 >= 0.125 for rep in reps],
+        p3_ok=[rep.p3 >= 0.125 for rep in reps],
+        p4_ok=[rep.p4 >= rep.c_bound for rep in reps],
+        product_ok=[rep.product >= rep.c_bound**2 / 64.0 for rep in reps],
+        zero_ok=[value == 0.0 for value in at_zero],
+    )]
 
 
 def _floor_rule(text: str):
@@ -455,7 +452,15 @@ def _floor_rule(text: str):
 _DECADES = tuple(10**j for j in range(7))
 
 
+@_command("prop3", Opt("K", int, 4, "number of synthesized levels (default 4)"),
+          Opt("b-rule", str, "invsqrtlog", "floor sequence: invsqrtlog or power:<beta>"),
+          Opt("samples", int, 10000, "encode/decode round trips (default 10000)"),
+          Opt("search-cap", int, DEFAULT_SEARCH_CAP,
+              f"horizon search cap (default {DEFAULT_SEARCH_CAP})"),
+          Opt("horizons", _parse_int_list, None, "norm-table horizons (default: "
+              "powers of 10 merged with the synthesized horizons)"))
 def _cmd_prop3(cfg) -> list[tuple]:
+    """layered-process synthesis, residual norms, decode summary"""
     if cfg["K"] < 2:
         raise UsageError("K must be >= 2")
     rule = _floor_rule(cfg["b_rule"])
@@ -467,38 +472,40 @@ def _cmd_prop3(cfg) -> list[tuple]:
     phi_set = set(columns["phi"])
     if cfg["horizons"] is None:  # the derived default is echoed in the metadata
         cfg["horizons"] = tuple(sorted(set(_DECADES) | phi_set))
-    rows = []
-    for n in cfg["horizons"]:
-        lagged = residual_norm_sq_lagged(params, n)
-        natural = residual_norm_sq_natural(params, n)
-        floor = n * rule(n) ** 2
-        synth = n in phi_set
-        rows.append([
-            n, synth, lagged, natural, floor,
-            lagged <= 1.0, natural >= floor if synth else None,
-        ])
-    schema = [
-        "n", "is_synth_horizon", "lagged_sq", "natural_sq", "n_floor_sq",
-        "lagged_le_one", "natural_ge_floor",
-    ]
-    tables.append(("norms", schema, rows))
+    horizons = list(cfg["horizons"])
+    synth = [n in phi_set for n in horizons]
+    lagged = [residual_norm_sq_lagged(params, n) for n in horizons]
+    natural = [residual_norm_sq_natural(params, n) for n in horizons]
+    floor = [n * rule(n) ** 2 for n in horizons]
+    tables.append(_table(
+        "norms",
+        n=horizons,
+        is_synth_horizon=synth,
+        lagged_sq=lagged,
+        natural_sq=natural,
+        n_floor_sq=floor,
+        lagged_le_one=[value <= 1.0 for value in lagged],
+        natural_ge_floor=[v >= f if s else None for v, f, s in zip(natural, floor, synth)],
+    ))
 
     report = simulate_and_decode(params, cfg["samples"], cfg["seed"])
-    rows = [[
-        report.samples, report.recovered, report.failures, report.boundary_hits,
-        ";".join(map(str, report.suppressed_levels)),
-        ";".join(map(str, report.nonzero_draws)),
-        report.miss_probability, report.seed,
-    ]]
-    schema = [
-        "samples", "recovered", "failures", "boundary_hits",
-        "suppressed_levels", "nonzero_draws", "miss_probability", "seed",
-    ]
-    tables.append(("decode", schema, rows))
+    tables.append(_row(
+        "decode",
+        samples=report.samples,
+        recovered=report.recovered,
+        failures=report.failures,
+        boundary_hits=report.boundary_hits,
+        suppressed_levels=";".join(map(str, report.suppressed_levels)),
+        nonzero_draws=";".join(map(str, report.nonzero_draws)),
+        miss_probability=report.miss_probability,
+        seed=report.seed,
+    ))
     return tables
 
 
+@_command("prop2", Opt("depth", int, 3, "carrier depth, 1..6 (default 3)"))
 def _cmd_prop2(cfg) -> list[tuple]:
+    """exact filtration model: increment norms and digit decoding"""
     depth = cfg["depth"]
     if not 1 <= depth <= 6:
         raise UsageError("depth must lie in 1..6")
@@ -508,39 +515,26 @@ def _cmd_prop2(cfg) -> list[tuple]:
     analytic = math.sqrt(5.0 + sum(9.0 ** -(2 * i + 1) for i in range(1, depth + 1))) + 0.125
     projection = remote_past_projection(model)
 
-    patterns = 0
-    decode_ok = True
-    band = [*range(1, depth + 1), *range(-depth, 0)]
-    for signs in iter_product((-1, 1), repeat=2 * depth):
-        assignment = {("e", i): s for i, s in zip(band, signs)}
-        recovered = decode_digit_value(digit_value(assignment, depth), depth)
-        decode_ok = decode_ok and recovered == assignment
-        patterns += 1
+    band = [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
+    assignments = (dict(zip(band, signs)) for signs in iter_product((-1, 1), repeat=2 * depth))
+    decoded = [decode_digit_value(digit_value(a, depth), depth) == a for a in assignments]
 
-    rows = [[
-        depth, total, analytic, abs(total - analytic),
-        projection.norm, projection.matches_e0, projection.matches_two_e0,
-        patterns, decode_ok,
-    ]]
-    schema = [
-        "depth", "hannan_sum", "hannan_analytic", "hannan_abs_err",
-        "remote_norm", "matches_e0", "matches_two_e0",
-        "decode_patterns", "decode_ok",
-    ]
+    ks = sorted(norms)
     return [
-        ("md_norms", ["k", "norm"], [[k, norms[k]] for k in sorted(norms)]),
-        ("summary", schema, rows),
+        _table("md_norms", k=ks, norm=[norms[k] for k in ks]),
+        _row(
+            "summary",
+            depth=depth,
+            hannan_sum=total,
+            hannan_analytic=analytic,
+            hannan_abs_err=abs(total - analytic),
+            remote_norm=projection.norm,
+            matches_e0=projection.matches_e0,
+            matches_two_e0=projection.matches_two_e0,
+            decode_patterns=len(decoded),
+            decode_ok=all(decoded),
+        ),
     ]
-
-
-_COMMANDS = {
-    "inner": _cmd_inner,
-    "cesaro": _cmd_cesaro,
-    "gap": _cmd_gap,
-    "prop6": _cmd_prop6,
-    "prop3": _cmd_prop3,
-    "prop2": _cmd_prop2,
-}
 
 
 def main(argv=None) -> int:

@@ -1,3 +1,6 @@
+__all__ = ["InvariantViolation"]
+
+
 class InvariantViolation(RuntimeError):
     """A quantity guaranteed by construction failed its bound check.
 

@@ -169,7 +169,7 @@ class BlaschkeSpec:
         arr = np.array(self.zeros, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("zeros must be a nonempty one-dimensional sequence")
-        if np.any(arr < 0.0) or np.any(arr >= 1.0):
+        if not np.all((arr >= 0.0) & (arr < 1.0)):  # NaN fails both
             raise ValueError("zeros must lie in [0, 1)")
         arr.setflags(write=False)
         object.__setattr__(self, "zeros", arr)

@@ -73,6 +73,7 @@ __all__ = [
 FIRE_LOG_FLOOR = -40.0
 
 DEFAULT_SEARCH_CAP = 10**6
+_INT64_MAX = 2**63 - 1  # largest horizon phi can store
 
 
 def inv_sqrt_log_rule() -> Callable[[int], float]:
@@ -235,6 +236,9 @@ def synthesize_layer_params(
     for j in range(1, level_count + 1):
         target = 2.0 * _tail_inverse_squares(j)
         prev = _smallest_horizon(b_rule, target, prev + 1, search_cap)
+        if prev > _INT64_MAX:
+            raise ValueError(f"level {j} needs the horizon {prev}, above the int64 "
+                             "limit 2**63 - 1 of the horizon ladder")
         phi[j - 1] = prev
     return LayerParams(phi=phi, b_at_phi=np.array([float(b_rule(int(m))) for m in phi]))
 

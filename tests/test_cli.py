@@ -311,6 +311,52 @@ class TestRunsAndValues:
         assert meta["config"]["b_rule"] == "power:0.25"
 
 
+# Every table each command writes, in order, with its header.
+TABLE_HEADERS = {
+    "inner": {"series": "n,a_n,A_n,M_n,main_term"},
+    "cesaro": {"cesaro": "n,partial_sum,cesaro_mean"},
+    "gap": {"gap": "n,c,sum_norm_sq,cross,gap_sq,c_star,min_gap_sq"},
+    "prop6": {"bounds": "level,r,p1,p2,p3,p4,product,c_bound,value_at_zero,"
+                        "p1_ok,p2_ok,p3_ok,p4_ok,product_ok,zero_ok"},
+    "prop3": {
+        "params": "level,p,rho,phi,log_q,log_r,log_s,b_at_phi",
+        "norms": "n,is_synth_horizon,lagged_sq,natural_sq,n_floor_sq,"
+                 "lagged_le_one,natural_ge_floor",
+        "decode": "samples,recovered,failures,boundary_hits,suppressed_levels,"
+                  "nonzero_draws,miss_probability,seed",
+    },
+    "prop2": {
+        "md_norms": "k,norm",
+        "summary": "depth,hannan_sum,hannan_analytic,hannan_abs_err,remote_norm,"
+                   "matches_e0,matches_two_e0,decode_patterns,decode_ok",
+    },
+}
+
+
+class TestTableHeaders:
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("inner", "--trunc", "3"),
+        ("cesaro", "--trunc", "3"),
+        ("gap", "--trunc", "20", "--horizons", "1,5"),
+        ("prop6", "--n-range", "2..3", "--k-max", "6"),
+        ("prop3", "--K", "2", "--samples", "20"),
+        ("prop2", "--depth", "1"),
+    ], ids=lambda argv: argv[0])
+    def test_every_table_header(self, argv, out_format, capsys):
+        assert run(*argv, "--out", out_format) == 0
+        tables = TABLE_HEADERS[argv[0]]
+        paths = [f"{argv[0]}_{name}.{out_format}" for name in tables]
+        sidecars = [".meta.json"] if out_format == "csv" else []
+        written = capsys.readouterr().out.split()
+        assert written == [path + end for path in paths for end in ["", *sidecars]]
+        for path, header in zip(paths, tables.values()):
+            if out_format == "csv":
+                assert read(path).decode().split("\n", 1)[0] == header
+            else:
+                assert json.loads(read(path))["schema"] == header.split(",")
+
+
 class TestDeterminism:
     def test_csv_reruns_byte_identical(self):
         assert run("inner", "--trunc", "40", "--out-path", "one") == 0
@@ -426,6 +472,18 @@ class TestExitStatus:
     def test_search_cap_below_first_horizon(self, capsys):
         assert run("prop3", "--K", "2", "--search-cap", "0") == 1
         assert "search cap" in capsys.readouterr().err
+
+    def test_horizon_past_int64_writes_nothing(self, capsys):
+        # level 87 needs a horizon of about 1.0e19; it used to end in an
+        # OverflowError from the int64 ladder
+        assert run("prop3", "--K", "90", "--search-cap", str(10**20)) == 1
+        err = capsys.readouterr().err
+        assert "ValueError: level 87 needs the horizon" in err and "2**63 - 1" in err
+        assert os.listdir() == []
+
+    def test_search_cap_past_int64_with_fitting_horizons(self, capsys):
+        assert run("prop3", "--K", "60", "--search-cap", str(10**30), "--samples", "100") == 0
+        capsys.readouterr()
 
     def test_invariant_violation_status(self, monkeypatch, capsys):
         def boom(level, k_max):

@@ -225,6 +225,13 @@ class TestBlaschkeSpec:
         with pytest.raises(ValueError):
             BlaschkeSpec.power(0.0, 4)
 
+    @pytest.mark.parametrize("zero", [math.nan, -math.inf, math.inf])
+    def test_non_finite_zero_rejected(self, zero):
+        # NaN compares false with both bounds; it used to pass and make
+        # blaschke_eval_radial return nan
+        with pytest.raises(ValueError, match=r"zeros must lie in \[0, 1\)"):
+            BlaschkeSpec(np.array([0.5, zero]))
+
     @pytest.mark.parametrize("build, first", [
         (BlaschkeSpec.dyadic, 54),  # 1 - 2^-54 rounds to 1.0
         (lambda count: BlaschkeSpec.power(10.0, count), 43),  # 1 - 43^-10 does too

@@ -133,6 +133,14 @@ class TestSynthesis:
         with pytest.raises(ValueError, match="search cap"):
             synthesize_layer_params(inv_sqrt_log_rule(), level_count, search_cap=search_cap)
 
+    def test_horizon_past_int64_names_the_level(self):
+        # with the cap out of the way, level 87 of the invsqrtlog ladder
+        # needs a horizon of about 1.0e19, which phi cannot store
+        with pytest.raises(ValueError, match=r"level 87 .* limit 2\*\*63 - 1"):
+            synthesize_layer_params(inv_sqrt_log_rule(), 90, search_cap=10**20)
+        top = synthesize_layer_params(inv_sqrt_log_rule(), 86, search_cap=10**20).phi[-1]
+        assert 2**62 < top < 2**63
+
     def test_power_rule_floor(self):
         pr = synthesize_layer_params(power_rule(0.25), 3)
         # b^2 = n^-0.5 is already below 2 trigamma(j+1) at the minimum
