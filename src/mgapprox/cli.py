@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, product as iter_product
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -36,8 +36,10 @@ from . import __version__
 from .errors import InvariantViolation
 from .exact_model import (
     ExactModel,
-    decode_digit_value,
-    digit_value,
+    decode_digit_value,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
+    decode_digit_values,
+    digit_value,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
+    digit_values,
     hannan_sum,
     martingale_difference_norms,
     remote_past_projection,
@@ -372,7 +374,7 @@ def _cmd_inner(cfg) -> list[tuple]:
     order = series.order
     main_term = [None] * (order + 1)
     if cfg["kind"] == "singular":
-        main_term[1:] = [newman_shapiro_main_term(cfg["a"], n) for n in range(1, order + 1)]
+        main_term[1:] = newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)).tolist()
     return [_table(
         "series",
         n=list(range(order + 1)),
@@ -515,9 +517,9 @@ def _cmd_prop2(cfg) -> list[tuple]:
     analytic = math.sqrt(5.0 + sum(9.0 ** -(2 * i + 1) for i in range(1, depth + 1))) + 0.125
     projection = remote_past_projection(model)
 
-    band = [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
-    assignments = (dict(zip(band, signs)) for signs in iter_product((-1, 1), repeat=2 * depth))
-    decoded = [decode_digit_value(digit_value(a, depth), depth) == a for a in assignments]
+    # every sign pattern of the 2 depth weighted carriers, one row each
+    patterns = (2 * (np.arange(4**depth)[:, None] >> np.arange(2 * depth) & 1) - 1).astype(np.int8)
+    decoded, ok = decode_digit_values(digit_values(patterns, depth), depth)
 
     ks = sorted(norms)
     return [
@@ -531,8 +533,8 @@ def _cmd_prop2(cfg) -> list[tuple]:
             remote_norm=projection.norm,
             matches_e0=projection.matches_e0,
             matches_two_e0=projection.matches_two_e0,
-            decode_patterns=len(decoded),
-            decode_ok=all(decoded),
+            decode_patterns=len(patterns),
+            decode_ok=bool(ok.all()) and np.array_equal(decoded, patterns),
         ),
     ]
 

@@ -15,9 +15,12 @@ the e-signs of positive and negative index into one number through the
 base-1/3 expansion 1 + sum_{i=1..depth} e_i 3^-(2i) + e_-i 3^-(2i+1); the
 exponents 2 .. 2 depth + 1 are distinct and each weight dominates the sum
 of all smaller ones, so the packing is lossless and invertible by a greedy
-scan.  e_0 and e_{depth+1} carry no digit weight: e_0 enters the
-observable separately, and e_{depth+1} exists only so the filtration has
-one step past the last weighted carrier.
+scan.  ``digit_values`` and ``decode_digit_values`` pack and decode whole
+sign matrices in 2 depth array steps; ``digit_value`` and
+``decode_digit_value`` are their one-row forms.  e_0 and e_{depth+1}
+carry no digit weight: e_0 enters the observable separately, and
+e_{depth+1} exists only so the filtration has one step past the last
+weighted carrier.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ __all__ = [
     "conditional_expectation",
     "conditioning_up_to",
     "decode_digit_value",
+    "decode_digit_values",
     "digit_value",
+    "digit_values",
     "hannan_sum",
     "martingale_difference_norms",
     "remote_past_projection",
@@ -179,37 +184,79 @@ def remote_past_projection(model: ExactModel) -> ProjectionReport:
     )
 
 
+def _digit_band(depth: int) -> list[Label]:
+    """The weighted e-carriers in packing order: e_1 .. e_depth, then
+    e_-depth .. e_-1; column j of a sign matrix holds carrier j."""
+    return [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
+
+
+def _scan_columns(depth: int) -> list[int]:
+    """Columns of the band in decoding order, weight 3^-m for m = 2 ..
+    2 depth + 1: m = 2i holds e_i (column i - 1), m = 2i + 1 holds e_-i
+    (column 2 depth - i)."""
+    return [m // 2 - 1 if m % 2 == 0 else 2 * depth - m // 2 for m in range(2, 2 * depth + 2)]
+
+
+def digit_values(signs, depth: int) -> np.ndarray:
+    """Pack rows of e-signs into digit values (the model's encoder).
+
+    ``signs`` is an (n, 2 depth) array of +-1, one column per carrier in
+    the order e_1 .. e_depth, then e_-depth .. e_-1.  Each value is
+    1.0 plus the signed weights, added one column at a time in that order,
+    so it is the same float as the sum of those terms in that order.
+    """
+    depth = int(depth)
+    signs = np.asarray(signs)
+    if signs.ndim != 2 or signs.shape[1] != 2 * depth:
+        raise ValueError(f"signs must be an (n, {2 * depth}) array, one column per carrier")
+    if not np.all((signs == 1) | (signs == -1)):
+        raise ValueError("signs must be -1 or +1")
+    total = np.ones(signs.shape[0])
+    for j, label in enumerate(_digit_band(depth)):
+        total += signs[:, j] * _digit_weight(label, depth)
+    return total
+
+
+def decode_digit_values(values, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Invert digit_values by greedy sign extraction, largest weight first.
+
+    Weights 3^-m for m = 2 .. 2 depth + 1 dominate the sum of all smaller
+    ones (a geometric tail of ratio 1/3), so the sign at each position is
+    the sign of the residual.  Returns the (n, 2 depth) int8 sign rows, in
+    digit_values' columns, and a mask of the rows that decode: a residual
+    that is zero before all positions are read means the value was not
+    produced by the encoder, and that row's signs mean nothing.
+    """
+    depth = int(depth)
+    residual = np.array(values, dtype=np.float64, ndmin=1) - 1.0
+    if residual.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    band = _digit_band(depth)
+    signs = np.empty((residual.size, 2 * depth), dtype=np.int8)
+    ok = np.ones(residual.size, dtype=bool)
+    for j in _scan_columns(depth):
+        ok &= residual != 0.0
+        signs[:, j] = np.where(residual > 0.0, 1, -1)
+        residual -= signs[:, j] * _digit_weight(band[j], depth)
+    return signs, ok
+
+
 def digit_value(signs: dict[Label, int], depth: int) -> float:
-    """Pack explicit e-signs into the digit value (the model's encoder).
+    """Pack explicit e-signs into the digit value: digit_values of one row.
 
     Only the weighted band is read: e_i for 1 <= |i| <= depth.
     """
     depth = int(depth)
-    total = 1.0
-    for i in [*range(1, depth + 1), *range(-depth, 0)]:
-        s = int(signs[("e", i)])
-        if s not in (-1, 1):
-            raise ValueError("signs must be -1 or +1")
-        total += s * _digit_weight(("e", i), depth)
-    return total
+    row = [int(signs[label]) for label in _digit_band(depth)]
+    return float(digit_values([row], depth)[0])
 
 
 def decode_digit_value(value: float, depth: int) -> dict[Label, int]:
-    """Invert digit_value by greedy sign extraction, largest weight first.
-
-    Weights 3^-m for m = 2 .. 2 depth + 1 dominate the sum of all smaller
-    ones (a geometric tail of ratio 1/3), so the sign at each position is
-    the sign of the residual.  A zero residual before all positions are
-    read means the value was not produced by the encoder.
-    """
+    """decode_digit_values of one value, as e-signs keyed by carrier in
+    decoding order; a value the encoder cannot produce raises ValueError."""
     depth = int(depth)
-    residual = float(value) - 1.0
-    out: dict[Label, int] = {}
-    for m in range(2, 2 * depth + 2):
-        if residual == 0.0:
-            raise ValueError("value is not a packed digit of this depth")
-        s = 1 if residual > 0 else -1
-        label: Label = ("e", m // 2) if m % 2 == 0 else ("e", -(m - 1) // 2)
-        out[label] = s
-        residual -= s * 3.0**-m
-    return out
+    signs, ok = decode_digit_values(float(value), depth)
+    if not ok[0]:
+        raise ValueError("value is not a packed digit of this depth")
+    band = _digit_band(depth)
+    return {band[j]: int(signs[0, j]) for j in _scan_columns(depth)}

@@ -142,20 +142,34 @@ def singular_exponent_series(a: float, n: int) -> CoefficientSeries:
     return CoefficientSeries(coeffs)
 
 
-def newman_shapiro_main_term(a: float, n: int) -> float:
+def newman_shapiro_main_term(a: float, n):
     """Leading coefficient asymptotic for the singular inner function:
     pi^(-1/2) (2a)^(1/4) n^(-3/4) cos(2 sqrt(2 a n) + pi/4).
 
     The remainder is O(n^(-5/4)), so n^(5/4) (a_n - main term) stays bounded.
+    ``n`` is one order, giving a float, or a one-dimensional integer array
+    of orders, giving a float64 array.  The phases are one array pass
+    (sqrt is correctly rounded, so they equal math.sqrt's); n^(-3/4) and
+    the cosine are taken per cell with math.pow and math.cos, because
+    numpy's power differs from libm's pow in the last bit on some cells.
     """
     a = float(a)
     if not a > 0.0:
         raise ValueError("the singular parameter must be positive")
-    n = int(n)
-    if n < 1:
+    scalar = np.ndim(n) == 0
+    if scalar:
+        orders = [int(n)]
+    else:
+        arr = np.asarray(n)
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError("orders must be a one-dimensional integer sequence")
+        orders = arr.tolist()
+    if orders and min(orders) < 1:
         raise ValueError("the asymptotic needs n >= 1")
     amp = (2.0 * a) ** 0.25 / math.sqrt(math.pi)
-    return amp * n ** -0.75 * math.cos(2.0 * math.sqrt(2.0 * a * n) + math.pi / 4.0)
+    phases = 2.0 * np.sqrt(2.0 * a * np.array(orders, dtype=float)) + math.pi / 4.0
+    cells = [amp * math.pow(m, -0.75) * math.cos(p) for m, p in zip(orders, phases.tolist())]
+    return cells[0] if scalar else np.array(cells)
 
 
 @dataclass(frozen=True, eq=False)

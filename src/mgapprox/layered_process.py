@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvariantViolation
-from .rng import substream
+from .rng import substream, substream_uniforms
 
 __all__ = [
     "DecodeReport",
@@ -74,6 +74,7 @@ FIRE_LOG_FLOOR = -40.0
 
 DEFAULT_SEARCH_CAP = 10**6
 _INT64_MAX = 2**63 - 1  # largest horizon phi can store
+_DRAW_BLOCK = 2**12  # samples drawn and tallied per array pass
 
 
 def inv_sqrt_log_rule() -> Callable[[int], float]:
@@ -502,10 +503,13 @@ def simulate_and_decode(params: LayerParams, samples: int, seed: int = 0) -> Dec
     Sample i draws all its uniforms with one ``random`` call on the (seed, i)
     substream; the layout, levels ascending and E before D, is part of the
     contract.  A uniform below half the fire probability gives sign -1,
-    below it +1.  Each distinct outcome pattern is encoded and decoded once
-    and weighted by its count.  Levels whose per-draw fire log-probability
-    -2 log q_k lies below FIRE_LOG_FLOOR cannot fire within any feasible
-    budget; they are skipped and the skipped probability mass is reported.
+    below it +1.  The draws of blocks of _DRAW_BLOCK samples come from one
+    ``substream_uniforms`` array pass, so memory stays bounded for any
+    sample count.  Each distinct outcome pattern is encoded and decoded
+    once and weighted by its count.  Levels whose per-draw fire
+    log-probability -2 log q_k lies below FIRE_LOG_FLOOR cannot fire within
+    any feasible budget; they are skipped and the skipped probability mass
+    is reported.
     """
     samples = int(samples)
     if samples < 1:
@@ -515,24 +519,36 @@ def simulate_and_decode(params: LayerParams, samples: int, seed: int = 0) -> Dec
     fire_log = -2.0 * params.log_q
     suppressed = fire_log < FIRE_LOG_FLOOR
     fire = np.exp(fire_log[~suppressed])
-    # a uniform below thresholds[0] fires the draw, below thresholds[1] with sign -1
-    thresholds = np.stack((fire, 0.5 * fire))[:, :, None]
     if np.any(suppressed):
         log_keep = 2.0 * np.sum(np.log1p(-np.exp(fire_log[suppressed])))
         miss = -float(math.expm1(log_keep))
     else:
         miss = 0.0
 
+    # draw j of a sample reads live level j // 2, E before D; a uniform below
+    # the fire probability codes 1 (sign +1), below half of it 2 (sign -1),
+    # else 0.  A sample's key is the base-3 number of its codes, draw 0
+    # lowest.  q grows by over 300 per level from q_1 = 1, so at most four
+    # levels are live and the key fits in an int64.
+    width = 2 * fire.size
+    if width > 39:
+        raise InvariantViolation(f"{fire.size} live levels overflow the outcome key")
+    fire_col = np.repeat(fire, 2)
+    half_col = np.repeat(0.5 * fire, 2)
+    place = 3 ** np.arange(width, dtype=np.int64)
     tally = Counter()
-    for i in range(samples):
-        tally[(substream(seed, i).random((fire.size, 2)) < thresholds).tobytes()] += 1
+    for start in range(0, samples, _DRAW_BLOCK):
+        u = substream_uniforms(seed, start, min(samples, start + _DRAW_BLOCK), width)
+        codes = (u < fire_col).astype(np.int64) + (u < half_col)
+        keys, counts = np.unique(codes @ place, return_counts=True)
+        tally.update(dict(zip(keys.tolist(), counts.tolist())))
 
     recovered = failures = boundary = 0
     nonzero = np.zeros(k, dtype=np.int64)
     for key, count in tally.items():
-        below_fire, below_half = np.frombuffer(key, dtype=bool).reshape(2, -1, 2)
+        codes = key // place % 3
         pattern = np.zeros((k, 2), dtype=np.int8)
-        pattern[~suppressed] = below_fire.view(np.int8) - 2 * below_half.view(np.int8)
+        pattern[~suppressed] = ((codes == 1).astype(np.int8) - (codes == 2)).reshape(-1, 2)
         nonzero += count * np.count_nonzero(pattern, axis=1)
         xs, ys = tuple(pattern[:, 0].tolist()), tuple(pattern[:, 1].tolist())
         out = codec.decode(codec.encode(xs, ys))

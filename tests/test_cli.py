@@ -589,10 +589,11 @@ def test_traced_run_counts_rows(tmp_path):
         # 13 conditional expectations over the 256 atoms of depth 2
         (("prop2", "--depth", "2"), 6, "prop2_summary.csv",
          {"exact_model.conditional_expectation.atoms": 13 * 256}, {}),
-        # one substream per sample; the 50 samples hold the four level-1
-        # patterns, each encoded and decoded once
+        # the draws come in one array pass, so no per-sample substream span
+        # opens (0 calls); the 50 samples hold the four level-1 patterns,
+        # each encoded and decoded once
         (("prop3", "--K", "4", "--samples", "50"), 4 + 11 + 1, "prop3_decode.csv", {},
-         {"rng.substream": 50, "layered_process.LayerCodec.init": 1,
+         {"rng.substream": 0, "layered_process.LayerCodec.init": 1,
           "layered_process.encode": 4, "layered_process.decode": 4}),
     ]
     for argv, rows, table, counts, calls in cases:
@@ -608,7 +609,7 @@ def test_traced_run_counts_rows(tmp_path):
         written = proc.stdout.split()
         assert summary["counts"]["cli.out_bytes"] == sum(map(os.path.getsize, written))
         assert counts.items() <= summary["counts"].items()
-        assert {name: summary["spans"][name][0] for name in calls} == calls
+        assert {name: summary["spans"].get(name, [0])[0] for name in calls} == calls
         assert (out / table).exists()
 
 

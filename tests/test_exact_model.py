@@ -1,6 +1,7 @@
 """Exhaustive finite model: filtrations, increment norms, digit codec."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from mgapprox import (
     conditional_expectation,
     conditioning_up_to,
     decode_digit_value,
+    decode_digit_values,
     digit_value,
+    digit_values,
     hannan_sum,
     martingale_difference_norms,
     remote_past_projection,
@@ -339,3 +342,82 @@ class TestDigitCodec:
             digit_value({("e", 1): 0, ("e", -1): 1}, 1)
         with pytest.raises(KeyError):
             digit_value({("e", 1): 1}, 1)
+
+
+def oracle_digit_value(signs, depth):
+    """The scalar packing loop the array codec replaced."""
+    total = 1.0
+    for i in [*range(1, depth + 1), *range(-depth, 0)]:
+        s = int(signs[("e", i)])
+        if s not in (-1, 1):
+            raise ValueError("signs must be -1 or +1")
+        total += s * (3.0 ** -(2 * i) if i >= 1 else 3.0 ** -(2 * -i + 1))
+    return total
+
+
+def oracle_decode_digit_value(value, depth):
+    """The scalar greedy decoder the array codec replaced."""
+    residual = float(value) - 1.0
+    out = {}
+    for m in range(2, 2 * depth + 2):
+        if residual == 0.0:
+            raise ValueError("value is not a packed digit of this depth")
+        s = 1 if residual > 0 else -1
+        out[("e", m // 2) if m % 2 == 0 else ("e", -(m - 1) // 2)] = s
+        residual -= s * 3.0**-m
+    return out
+
+
+def band_of(depth):
+    return [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestArrayDigitCodec:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_every_pattern_matches_the_scalar_oracle(self, depth):
+        band = band_of(depth)
+        patterns = np.array(list(product((-1, 1), repeat=2 * depth)), dtype=np.int8)
+        expected = [oracle_digit_value(dict(zip(band, row)), depth) for row in patterns.tolist()]
+        values = digit_values(patterns, depth)
+        assert float_bits(values) == float_bits(expected)
+        decoded, ok = decode_digit_values(values, depth)
+        assert ok.all()
+        assert np.array_equal(decoded, patterns)
+        for row, value in zip(patterns.tolist(), expected):
+            signs = dict(zip(band, row))
+            assert oracle_decode_digit_value(value, depth) == signs
+            assert float_bits([digit_value(signs, depth)]) == float_bits([value])
+            assert list(decode_digit_value(value, depth).items()) == list(
+                oracle_decode_digit_value(value, depth).items()
+            )
+
+    @settings(deadline=None, max_examples=300)
+    @given(value=st.floats(0.8, 1.2), depth=st.integers(1, 6))
+    @example(value=1.0, depth=3)
+    @example(value=1.0 + 3.0**-2, depth=2)
+    def test_arbitrary_values_decode_as_the_oracle(self, value, depth):
+        signs, ok = decode_digit_values([value], depth)
+        try:
+            want = oracle_decode_digit_value(value, depth)
+        except ValueError:
+            assert not ok[0]
+            with pytest.raises(ValueError):
+                decode_digit_value(value, depth)
+            return
+        assert ok[0]
+        assert dict(zip(band_of(depth), signs[0].tolist())) == want
+        assert decode_digit_value(value, depth) == want
+
+    def test_array_validation(self):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            digit_values([[1, 0]], 1)
+        with pytest.raises(ValueError):
+            digit_values([1, -1], 1)
+        with pytest.raises(ValueError):
+            digit_values([[1, -1, 1]], 1)
+        with pytest.raises(ValueError):
+            decode_digit_values([[1.0]], 1)

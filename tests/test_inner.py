@@ -170,11 +170,30 @@ class TestNewmanShapiroAsymptotic:
             worst = max(worst, dev)
         assert worst <= 0.08
 
+    @pytest.mark.parametrize("a", [1.0, 0.3, math.pi**2 / 128.0, 700.0])
+    def test_array_matches_the_scalar_formula(self, a):
+        # the per-order formula the array pass replaced, cell for cell
+        def scalar(n):
+            amp = (2.0 * a) ** 0.25 / math.sqrt(math.pi)
+            return amp * n ** -0.75 * math.cos(2.0 * math.sqrt(2.0 * a * n) + math.pi / 4.0)
+
+        orders = np.arange(1, 30001)
+        got = newman_shapiro_main_term(a, orders)
+        want = np.array([scalar(n) for n in range(1, 30001)])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert newman_shapiro_main_term(a, 777) == want[776]
+        assert type(newman_shapiro_main_term(a, 777)) is float
+        assert newman_shapiro_main_term(a, 2**70) == scalar(2**70)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             newman_shapiro_main_term(1.0, 0)
         with pytest.raises(ValueError):
             newman_shapiro_main_term(0.0, 5)
+        with pytest.raises(ValueError):
+            newman_shapiro_main_term(1.0, np.arange(0, 5))
+        with pytest.raises(ValueError):
+            newman_shapiro_main_term(1.0, np.array([1.5, 2.0]))
 
 
 class TestBlaschkeFactor:

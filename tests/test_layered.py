@@ -31,6 +31,8 @@ from mgapprox import (
     substream,
     synthesize_layer_params,
 )
+import mgapprox.layered_process
+import mgapprox.rng
 from mgapprox.layered_process import _tail_inverse_squares, _working_dps
 
 DECADES = tuple(10**j for j in range(7))
@@ -484,6 +486,26 @@ class TestPatternTallyMatchesThePerDrawOracle:
         for f in fields(DecodeReport):
             assert getattr(tally, f.name) == getattr(oracle, f.name), f.name
         assert all(type(n) is int for n in tally.nonzero_draws)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_block_edges(self, monkeypatch, block):
+        # samples are drawn in blocks (None: the shipped block size); the
+        # tally must not see the seams
+        if block is None:
+            block = mgapprox.layered_process._DRAW_BLOCK
+        monkeypatch.setattr(mgapprox.layered_process, "_DRAW_BLOCK", block)
+        params = params_for(4)
+        for samples in (block - 1, block, block + 1):
+            if samples >= 1:
+                tally = simulate_and_decode(params, samples, 5)
+                assert tally == per_draw_oracle(params, samples, 5)
+
+    def test_batched_draws_checked_against_substream(self, monkeypatch):
+        uniforms = mgapprox.rng._uniforms
+        monkeypatch.setattr(mgapprox.rng, "_uniforms",
+                            lambda *args: np.nextafter(uniforms(*args), 1.0))
+        with pytest.raises(InvariantViolation, match="differ from numpy"):
+            simulate_and_decode(params_for(4), 10, seed=2)
 
     def test_boundary_and_failure_counts_are_weighted(self, monkeypatch):
         # real draws always decode; force verdicts on two level-1 patterns so

@@ -33,7 +33,9 @@ def test_every_earlier_name_still_exported():
 def test_all_is_the_module_lists():
     names = mgapprox.__all__
     assert len(names) == len(set(names))
-    assert set(names) - set(EXPORTED) == {"Label", "RADIAL_LIMIT_FACTORS", "INNOVATION_KINDS"}
+    assert set(names) - set(EXPORTED) == {"Label", "RADIAL_LIMIT_FACTORS", "INNOVATION_KINDS",
+                                          "substream_uniforms", "digit_values",
+                                          "decode_digit_values"}
     modules = [mgapprox.errors, mgapprox.exact_model, mgapprox.inner, mgapprox.layered_process,
                mgapprox.linear_process, mgapprox.rng, mgapprox.series]
     for module in modules:
