@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
@@ -190,16 +190,30 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand with its help line, and the
+    options of the one argv names.
+
+    argparse parses only the subparser of the command it dispatches to, so
+    the others' options are never read, and adding them was most of the
+    time a light command spent parsing.  The top level takes no option but
+    -h, so the argument it dispatches on comes before any other command
+    name: if it is a command, it is the first command name in argv, and if
+    it is not, the top level fails before any subparser parses.  Help text,
+    usage lines and error messages are therefore the same as with every
+    subcommand's options added.
+    """
     parser = argparse.ArgumentParser(
         prog="mgapprox",
         description="martingale-approximation experiments with deterministic outputs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
     for command, run in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__)
-        for opt in run.opts:
-            p.add_argument(f"--{opt.name}", type=opt.conv, default=None, help=opt.help)
+        if command == named:
+            for opt in run.opts:
+                p.add_argument(f"--{opt.name}", type=opt.conv, default=None, help=opt.help)
     return parser
 
 
@@ -248,6 +262,11 @@ def _row_blocks(row: str, columns: list, start: int, stop: int):
         yield row * (hi - lo) % tuple(chain.from_iterable(zip(*cells)))
 
 
+def _json_row(cells: list[str]) -> str:
+    """The JSON text of one row, given its cells' texts or %-specs."""
+    return "    [" + ("\n      " + ",\n      ".join(cells) + "\n    " if cells else "") + "]"
+
+
 def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list[str]:
     """Write one table plus its metadata record; returns the written paths.
 
@@ -257,46 +276,53 @@ def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list
     digits, None as the empty cell, booleans as true/false; metadata goes
     to a {path}.meta.json sidecar.  JSON: the object json.dumps(sort_keys=True,
     indent=2) makes of metadata, schema and rows.  Both renderings are
-    byte-stable for fixed inputs.  A column of one type renders through a
-    %-spec, any other cell by cell; the specs form one row template that
-    renders and writes _ROW_BLOCK rows at a time.  A file whose rendering or
-    writing fails partway is removed, so a failure leaves no table file.
+    byte-stable for fixed inputs.  Row 0 renders cell by cell, and rows 1..
+    through one row template that renders and writes _ROW_BLOCK rows at a
+    time: a column whose cells from row 1 on are of one type takes that
+    type's %-spec, any other renders cell by cell.  A column that is None in
+    row 0 only, like inner's M_n, thus still renders through its spec.  A
+    file whose rendering or writing fails partway is removed, so a failure
+    leaves no table file.
     """
     rows = list(rows)
-    for row in rows:
-        if len(row) != len(schema):
-            raise ValueError("schema does not match row width")
+    if set(map(len, rows)) - {len(schema)}:
+        raise ValueError("schema does not match row width")
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
     columns = list(zip(*rows)) if rows else [()] * len(schema)
-    kinds = [set(map(type, column)) for column in columns]
-    if not set().union(*kinds) <= _CELL_TEXT.keys():
+    kinds = [set(map(type, islice(column, 1, None))) for column in columns]
+    if not set(map(type, rows[0] if rows else ())).union(*kinds) <= _CELL_TEXT.keys():
         name, kind = next((name, type(cell)) for row in rows for name, cell in zip(schema, row)
                           if type(cell) not in _CELL_TEXT)
         raise TypeError(f"column {name!r} holds a cell of type {kind.__name__}; "
                         "cells must be None, bool, int, float or str")
     cell_text, column_spec = _RENDER[out_format]
+    # row 0 cell by cell, so a None there leaves its column the spec of rows 1..
+    lead = [[cell_text[type(cell)](cell) for cell in row] for row in rows[:1]]
     specs = []
     for j, kind in enumerate(kinds):
         spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
-        plain = spec is not None and (spec != "%r" or all(map(math.isfinite, columns[j])))
+        plain = spec is not None and (
+            spec != "%r" or all(map(math.isfinite, islice(columns[j], 1, None))))
         columns[j] = (columns[j], None if plain else cell_text)
         specs.append(spec if plain else "%s")
+    n = len(rows)
     if out_format == "csv":
         sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
-        blocks = _row_blocks(",".join(specs) + "\n", columns, 0, len(rows))
-        _write_chunks(path, chain([",".join(schema) + "\n"], blocks))
+        head = (",".join(cells) + "\n" for cells in [schema, *lead])
+        _write_chunks(path, chain(head, _row_blocks(",".join(specs) + "\n", columns, 1, n)))
         _write_chunks(path + ".meta.json", [sidecar])
         return [path, path + ".meta.json"]
     # keys in sorted order; every row but the last ends in a comma
-    row = "    [" + ("\n      " + ",\n      ".join(specs) + "\n    " if specs else "") + "]"
-    last = max(len(rows) - 1, 0)
+    row, last = _json_row(specs), max(n - 1, 1)
     meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
                    for v in (metadata, list(schema)))
     head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(rows)
     tail = "  " * bool(rows) + f'],\n  "schema": {names}\n}}\n'
-    _write_chunks(path, chain([head], _row_blocks(row + ",\n", columns, 0, last),
-                              _row_blocks(row + "\n", columns, last, len(rows)), [tail]))
+    first_end = ",\n" if n > 1 else "\n"
+    _write_chunks(path, chain([head], (_json_row(cells) + first_end for cells in lead),
+                              _row_blocks(row + ",\n", columns, 1, last),
+                              _row_blocks(row + "\n", columns, last, n), [tail]))
     return [path]
 
 
@@ -513,7 +539,7 @@ def _cmd_prop2(cfg) -> list[tuple]:
         raise UsageError("depth must lie in 1..6")
     model = ExactModel.build(depth)
     norms = martingale_difference_norms(model)
-    total = hannan_sum(model)
+    total = hannan_sum(model, norms)
     analytic = math.sqrt(5.0 + sum(9.0 ** -(2 * i + 1) for i in range(1, depth + 1))) + 0.125
     projection = remote_past_projection(model)
 
@@ -541,9 +567,10 @@ def _cmd_prop2(cfg) -> list[tuple]:
 
 def main(argv=None) -> int:
     started = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else argv
     try:
         try:
-            args = _build_parser().parse_args(argv)
+            args = _build_parser(argv).parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
         cfg = _resolve(args.command, args)

@@ -147,11 +147,13 @@ def martingale_difference_norms(model: ExactModel) -> dict[int, float]:
     return norms
 
 
-def hannan_sum(model: ExactModel) -> float:
+def hannan_sum(model: ExactModel, norms: dict[int, float] | None = None) -> float:
     """Sum of the martingale difference norms, completed by the analytic
     tail 3^-(2 depth) / 8 that the finite carrier family truncates away
-    (norms 3^-(2k+2) continued over all k >= depth)."""
-    norms = martingale_difference_norms(model)
+    (norms 3^-(2k+2) continued over all k >= depth).  ``norms`` are the
+    model's ``martingale_difference_norms``, computed here when not given."""
+    if norms is None:
+        norms = martingale_difference_norms(model)
     tail = 9.0**-model.depth / 8.0
     return float(sum(norms.values()) + tail)
 

@@ -104,6 +104,11 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     (a = 500), so the bound is an estimate without proof.  On a grid of a
     in [1e-4, 700] and n up to 2e5 it stayed at least 1.48 times the exact
     tail 1 - sum_{j<=n} a_j^2, which a property test checks it against.
+
+    The recurrence carries A_{k-1} and A_k as Python floats and stores each
+    new A_{k+1} into the preallocated array: the same IEEE operations in the
+    same order as reading both back from the array, without boxing a numpy
+    scalar per read.
     """
     a = float(a)
     if not a > 0.0:
@@ -118,12 +123,13 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
         raise ValueError(f"truncation order {n} exceeds {_MAX_SINGULAR_ORDER:.0e}, the most "
                          "recurrence steps supported")
     partial = np.empty(n + 1)
-    partial[0] = math.exp(-a)
+    partial[0] = prev = math.exp(-a)
     if n >= 1:
-        partial[1] = math.exp(-a) * (1.0 - 2.0 * a)
+        partial[1] = cur = math.exp(-a) * (1.0 - 2.0 * a)
     x = 2.0 * a
     for k in range(1, n):
-        partial[k + 1] = ((2 * k + 1 - x) * partial[k] - k * partial[k - 1]) / (k + 1)
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+        partial[k + 1] = cur
     coeffs = np.diff(partial, prepend=0.0)
     if n == 0:
         tail = 1.0

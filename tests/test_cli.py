@@ -24,7 +24,7 @@ from mgapprox import (
     hannan_sum,
     singular_inner_coeffs,
 )
-from mgapprox.cli import _ROW_BLOCK, OUT_DIR_ENV, UsageError, emit_table, main
+from mgapprox.cli import _RENDER, _ROW_BLOCK, OUT_DIR_ENV, UsageError, emit_table, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -127,6 +127,18 @@ def block_table(n):
     ]
 
 
+def leading_none_table(n):
+    """Columns that are None in row 0 (an all-None one too), n rows: row 0
+    renders apart, so these take their specs over rows 1.."""
+    return [
+        [None, *(i / 7 for i in range(1, n))],
+        [None, *([math.nan, 0.5, math.inf, -math.inf] * n)[:n - 1]],
+        [None] * n,
+        [None, *range(1, n)],
+        list(range(n)),
+    ]
+
+
 class TestEmitTable:
     @settings(deadline=None, max_examples=100)
     @given(
@@ -153,6 +165,10 @@ class TestEmitTable:
     @example(columns=[[7], [0.5], [math.nan], [None], [True], ['"\\\n€']], metadata={})
     @example(columns=block_table(_ROW_BLOCK), metadata={"config": {"trunc": 3}})
     @example(columns=block_table(_ROW_BLOCK + 1), metadata={"rows": [], "config": {"rows": []}})
+    @example(columns=leading_none_table(1), metadata={})
+    @example(columns=leading_none_table(2), metadata={})
+    @example(columns=leading_none_table(_ROW_BLOCK), metadata={"config": {"trunc": 3}})
+    @example(columns=leading_none_table(_ROW_BLOCK + 1), metadata={"config": {"trunc": 3}})
     def test_typed_columns_match_the_per_cell_oracle(self, columns, metadata):
         schema = [f"c{j}" for j in range(len(columns))]
         for out_format in ("json", "csv"):
@@ -163,6 +179,15 @@ class TestEmitTable:
             path = f"t.{out_format}"
             emit_table(rows, schema, out_format, path, metadata)
             assert read(path) == reference_bytes(rows, schema, out_format, metadata)
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_leading_none_float_column_takes_the_template(self, out_format, monkeypatch):
+        calls = []
+        cell_text = _RENDER[out_format][0]
+        monkeypatch.setitem(cell_text, float, lambda v: calls.append(v) or repr(v))
+        rows = [(None, 0), *((i / 3, i) for i in range(1, 10))]
+        emit_table(rows, ["x", "n"], out_format, f"t.{out_format}", {})
+        assert calls == []
 
     @pytest.mark.parametrize("out_format, column, cell, error", [
         ("csv", 0, 10 ** sys.get_int_max_str_digits(), "integer string conversion"),
@@ -577,6 +602,47 @@ class TestExitStatus:
         assert "wall_time" not in captured.out
 
 
+def without_wall_time(err: str) -> str:
+    return "".join(line for line in err.splitlines(True) if not line.startswith("# wall_time_s="))
+
+
+def expected(case: dict) -> tuple:
+    return case["status"], case["stdout"], case["stderr"]
+
+
+class TestCliSurface:
+    """Help text, usage errors and flag resolution, byte for byte as
+    cli_surface.json recorded them when the parser still added every
+    subcommand's options; the parser now adds only the named command's."""
+
+    CASES = json.loads((Path(__file__).with_name("cli_surface.json")).read_text("utf-8"))
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]) or "no-args")
+    def test_surface_unchanged(self, case, capsys):
+        Path("cfg.txt").write_text("trunc = 50\ndepth = 3\n", encoding="utf-8")
+        status = main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (status, out, without_wall_time(err)) == expected(case)
+
+    def test_abbreviated_flag_resolves(self):
+        assert main(["gap", "--fac", "9", "--trunc", "50"]) == 0
+        assert json.loads(read("gap_gap.csv.meta.json"))["config"]["factors"] == 9
+
+    @pytest.mark.parametrize("argv", [["gap", "-h"], ["gap", "--bogus", "1"]])
+    def test_argv_defaults_to_the_process_arguments(self, argv):
+        case = next(case for case in self.CASES if case["argv"] == argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "mgapprox.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, without_wall_time(proc.stderr)) == expected(case)
+
+
 def test_traced_run_counts_rows(tmp_path):
     """perfbench/tracer.py patches names on mgapprox.cli,
     mgapprox.exact_model and mgapprox.layered_process; a traced run must
@@ -586,9 +652,11 @@ def test_traced_run_counts_rows(tmp_path):
     cases = [
         (("inner", "--trunc", "3"), 4, "inner_series.csv", {}, {}),
         (("inner", "--trunc", "3", "--out", "json"), 4, "inner_series.json", {}, {}),
-        # 13 conditional expectations over the 256 atoms of depth 2
+        # one norms pass (6 conditional expectations) and the remote
+        # projection (1), over the 256 atoms of depth 2
         (("prop2", "--depth", "2"), 6, "prop2_summary.csv",
-         {"exact_model.conditional_expectation.atoms": 13 * 256}, {}),
+         {"exact_model.conditional_expectation.atoms": 7 * 256},
+         {"exact_model.martingale_difference_norms": 1}),
         # the draws come in one array pass, so no per-sample substream span
         # opens (0 calls); the 50 samples hold the four level-1 patterns,
         # each encoded and decoded once

@@ -240,8 +240,11 @@ class TestIncrementNorms:
     def test_hannan_sum_closed_form(self, depth):
         # Finite norms sum to root + (1/8 - tail); adding the analytic tail
         # 9^-depth/8 restores root + 1/8 exactly at every depth.
-        value = hannan_sum(ExactModel.build(depth))
+        model = ExactModel.build(depth)
+        value = hannan_sum(model)
         assert abs(value - (analytic_root_norm(depth) + 0.125)) <= 1e-12
+        # the CLI passes the norms it already holds; the sum is the same float
+        assert hannan_sum(model, martingale_difference_norms(model)) == value
 
 
 class TestRemotePastProjection:

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgapprox import (
@@ -70,6 +70,20 @@ def mpmath_tail(zeros, n):
         return 1 - mpmath.fsum(a * a for a in coeffs)
 
 
+def indexed_singular_partials(a, n):
+    """The Laguerre recurrence reading A_k and A_{k-1} back from the array
+    as numpy scalars: the loop the Python-float locals replaced, kept as
+    their oracle."""
+    partial = np.empty(n + 1)
+    partial[0] = math.exp(-a)
+    if n >= 1:
+        partial[1] = math.exp(-a) * (1.0 - 2.0 * a)
+    x = 2.0 * a
+    for k in range(1, n):
+        partial[k + 1] = ((2 * k + 1 - x) * partial[k] - k * partial[k - 1]) / (k + 1)
+    return np.diff(partial, prepend=0.0)
+
+
 @pytest.fixture(scope="module")
 def dyadic12_series():
     # 12 dyadic zeros need order ~2^14 before the slowest factor resolves;
@@ -94,6 +108,18 @@ class TestSingularInner:
         laguerre = [float(mpmath.laguerre(k, 0, 2.0 * a)) for k in range(n + 1)]
         reference = math.exp(-a) * np.array(laguerre)
         assert np.max(np.abs(partial - reference)) <= 1e-12
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.floats(0.0, 700.0, exclude_min=True), n=st.integers(0, 5000))
+    @example(a=1e-4, n=5000)
+    @example(a=0.37, n=5000)
+    @example(a=1.0, n=0)
+    @example(a=1.0, n=1)
+    @example(a=50.0, n=5000)
+    @example(a=700.0, n=5000)
+    def test_float_recurrence_matches_the_indexed_loop(self, a, n):
+        expected = indexed_singular_partials(a, n)
+        assert singular_inner_coeffs(a, n).coeffs.tobytes() == expected.tobytes()
 
     def test_leading_coefficients(self):
         s = singular_inner_coeffs(1.0, 1)
