@@ -2,10 +2,10 @@
 
 Each subcommand is a thin adapter, registered by ``_command`` together with
 its help line and options: it calls library functions on the resolved
-configuration and returns their results as tables of named columns of
-native Python values, built by ``_table``; main writes the tables only once
-all of them are computed, so a failed command writes no file.  No numeric
-logic lives here.
+configuration and returns their results as ``Table``s, named columns of
+native Python values; main hands each to ``emit_table`` only once all of
+them are computed, so a failed command writes no file.  No numeric logic
+lives here.
 Configuration comes from flags, then a key=value config file, then
 documented defaults; the resolved configuration is echoed into the output
 metadata, and rerunning with an identical configuration produces
@@ -65,7 +65,7 @@ from .layered_process import (
 from .linear_process import approximation_gap, best_scalar_gap
 from .series import cesaro_profile
 
-__all__ = ["UsageError", "emit_table", "entry", "main"]
+__all__ = ["Table", "UsageError", "emit_table", "entry", "main"]
 
 OUT_DIR_ENV = "MGAPPROX_OUT_DIR"
 
@@ -129,7 +129,7 @@ _SOURCE = [
     Opt("factors", int, 12, "number of Blaschke factors (default 12)"),
 ]
 
-_COMMANDS: dict[str, Callable[[dict], list[tuple]]] = {}
+_COMMANDS: dict[str, Callable[[dict], list[Table]]] = {}
 
 
 def _command(name: str, *opts: Opt):
@@ -235,11 +235,26 @@ _JSON_TEXT = {**_CELL_TEXT, type(None): lambda value: "null", str: json.dumps,
               float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v)}
 # Per format, the cell texts and the %-spec of a column holding a single type,
 # byte for byte its cells' text; a JSON float column with NaN or inf gets none.
+# The None specs print their constant text and consume the cell.
 _RENDER = {
-    "csv": (_CELL_TEXT, {int: "%d", float: "%.17g", str: "%s"}),
-    "json": (_JSON_TEXT, {int: "%d", float: "%r"}),
+    "csv": (_CELL_TEXT, {type(None): "%.0s", int: "%d", float: "%.17g", str: "%s"}),
+    "json": (_JSON_TEXT, {type(None): "null%.0s", int: "%d", float: "%r"}),
 }
 _ROW_BLOCK = 4096  # rows rendered by one %-operation and written at once
+
+
+class Table:
+    """A name and ordered named columns of native cells, checked once for
+    equal length; ``len()`` is the row count."""
+
+    def __init__(self, name: str, /, **columns: list):
+        lengths = {key: len(column) for key, column in columns.items()}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"table {name!r} has columns of unequal length {lengths}")
+        self.name, self.columns = name, columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
 
 
 def _write_chunks(path: str, chunks) -> None:
@@ -267,38 +282,37 @@ def _json_row(cells: list[str]) -> str:
     return "    [" + ("\n      " + ",\n      ".join(cells) + "\n    " if cells else "") + "]"
 
 
-def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list[str]:
+def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> list[str]:
     """Write one table plus its metadata record; returns the written paths.
 
-    Cells must be native Python values: None, bool, int, float or str.  Any
-    other type, a numpy scalar included, raises TypeError naming its column.
-    CSV: header row, '.' decimal separator, floats at 17 significant
-    digits, None as the empty cell, booleans as true/false; metadata goes
-    to a {path}.meta.json sidecar.  JSON: the object json.dumps(sort_keys=True,
-    indent=2) makes of metadata, schema and rows.  Both renderings are
-    byte-stable for fixed inputs.  Row 0 renders cell by cell, and rows 1..
-    through one row template that renders and writes _ROW_BLOCK rows at a
-    time: a column whose cells from row 1 on are of one type takes that
-    type's %-spec, any other renders cell by cell.  A column that is None in
-    row 0 only, like inner's M_n, thus still renders through its spec.  A
-    file whose rendering or writing fails partway is removed, so a failure
-    leaves no table file.
+    The table comes first and ``out_format`` by keyword: perfbench/tracer.py
+    counts rows as ``len()`` of the one and names its span after the other.
+    Cells must be None, bool, int, float or str; any other type, a numpy
+    scalar included, raises TypeError naming the first such column.  CSV:
+    header row, '.' decimal separator, floats at 17 significant digits, None
+    as the empty cell, booleans as true/false; metadata goes to a
+    {path}.meta.json sidecar.  JSON: the object json.dumps(sort_keys=True,
+    indent=2) makes of metadata, schema and rows.  Both are byte-stable for
+    fixed inputs.  Row 0 renders cell by cell, and rows 1.. through one row
+    template that renders and writes _ROW_BLOCK rows at a time: a column
+    whose cells from row 1 on are of one type takes that type's %-spec, any
+    other renders cell by cell, so a column that is None in row 0 only, like
+    inner's M_n, still takes its spec.  A file whose rendering or writing
+    fails partway is removed, so a failure leaves no table file.
     """
-    rows = list(rows)
-    if set(map(len, rows)) - {len(schema)}:
-        raise ValueError("schema does not match row width")
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
-    columns = list(zip(*rows)) if rows else [()] * len(schema)
+    schema, columns = list(table.columns), list(table.columns.values())
     kinds = [set(map(type, islice(column, 1, None))) for column in columns]
-    if not set(map(type, rows[0] if rows else ())).union(*kinds) <= _CELL_TEXT.keys():
-        name, kind = next((name, type(cell)) for row in rows for name, cell in zip(schema, row)
-                          if type(cell) not in _CELL_TEXT)
-        raise TypeError(f"column {name!r} holds a cell of type {kind.__name__}; "
-                        "cells must be None, bool, int, float or str")
+    for name, column, kind in zip(schema, columns, kinds):
+        if not kind.union(map(type, column[:1])) <= _CELL_TEXT.keys():
+            bad = next(type(cell) for cell in column if type(cell) not in _CELL_TEXT)
+            raise TypeError(f"column {name!r} holds a cell of type {bad.__name__}; "
+                            "cells must be None, bool, int, float or str")
     cell_text, column_spec = _RENDER[out_format]
+    n = len(table)
     # row 0 cell by cell, so a None there leaves its column the spec of rows 1..
-    lead = [[cell_text[type(cell)](cell) for cell in row] for row in rows[:1]]
+    lead = [[cell_text[type(column[0])](column[0]) for column in columns]] if n else []
     specs = []
     for j, kind in enumerate(kinds):
         spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
@@ -306,7 +320,6 @@ def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list
             spec != "%r" or all(map(math.isfinite, islice(columns[j], 1, None))))
         columns[j] = (columns[j], None if plain else cell_text)
         specs.append(spec if plain else "%s")
-    n = len(rows)
     if out_format == "csv":
         sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
         head = (",".join(cells) + "\n" for cells in [schema, *lead])
@@ -316,9 +329,9 @@ def emit_table(rows, schema, out_format: str, path: str, metadata: dict) -> list
     # keys in sorted order; every row but the last ends in a comma
     row, last = _json_row(specs), max(n - 1, 1)
     meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
-                   for v in (metadata, list(schema)))
-    head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(rows)
-    tail = "  " * bool(rows) + f'],\n  "schema": {names}\n}}\n'
+                   for v in (metadata, schema))
+    head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(n)
+    tail = "  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
     first_end = ",\n" if n > 1 else "\n"
     _write_chunks(path, chain([head], (_json_row(cells) + first_end for cells in lead),
                               _row_blocks(row + ",\n", columns, 1, last),
@@ -348,23 +361,10 @@ def _stem(cfg: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # commands
-#
-# Each command returns its tables as _table results and writes nothing; main
-# writes them once every table is computed.
 
-def _table(name: str, **columns: list) -> tuple:
-    """A (name, schema, rows) table zipped from equal-length named columns.
-
-    This is the one place columns become rows: emit_table takes rows, and
-    perfbench/tracer.py counts a table's rows as the length of emit_table's
-    first argument and names its span by the third.
-    """
-    return name, list(columns), list(zip(*columns.values(), strict=True))
-
-
-def _row(name: str, **cells) -> tuple:
+def _row(name: str, **cells) -> Table:
     """A one-row table of named cells."""
-    return _table(name, **{key: [cell] for key, cell in cells.items()})
+    return Table(name, **{key: [cell] for key, cell in cells.items()})
 
 
 def _fields(records: list, *names: str) -> dict[str, list]:
@@ -393,7 +393,7 @@ def _blaschke_spec(cfg) -> BlaschkeSpec:
 
 
 @_command("inner", *_SOURCE, Opt("trunc", int, 1000, "truncation order (default 1000)"))
-def _cmd_inner(cfg) -> list[tuple]:
+def _cmd_inner(cfg) -> list[Table]:
     """inner-function coefficient table (n, a_n, A_n, M_n, main_term)"""
     series = _build_series(cfg)
     profile = cesaro_profile(series)
@@ -401,7 +401,7 @@ def _cmd_inner(cfg) -> list[tuple]:
     main_term = [None] * (order + 1)
     if cfg["kind"] == "singular":
         main_term[1:] = newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)).tolist()
-    return [_table(
+    return [Table(
         "series",
         n=list(range(order + 1)),
         a_n=series.coeffs.tolist(),
@@ -412,11 +412,11 @@ def _cmd_inner(cfg) -> list[tuple]:
 
 
 @_command("cesaro", *_SOURCE, Opt("trunc", int, 10000, "truncation order (default 10000)"))
-def _cmd_cesaro(cfg) -> list[tuple]:
+def _cmd_cesaro(cfg) -> list[Table]:
     """partial sums and Cesaro means of a coefficient sequence"""
     series = _build_series(cfg)
     profile = cesaro_profile(series)
-    return [_table(
+    return [Table(
         "cesaro",
         n=list(range(1, series.order + 1)),
         partial_sum=profile.partial_sums[1:].tolist(),
@@ -428,21 +428,21 @@ def _cmd_cesaro(cfg) -> list[tuple]:
           Opt("horizons", _parse_int_list, (1, 10, 100, 1000, 10000),
               "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)"),
           Opt("c", float, None, "scalar to test; omitted means the minimizer"))
-def _cmd_gap(cfg) -> list[tuple]:
+def _cmd_gap(cfg) -> list[Table]:
     """window-sum gap reports for scalar martingale approximants"""
     series = _build_series(cfg)
     if cfg["c"] is None:
         reports = [best_scalar_gap(series, n) for n in cfg["horizons"]]
     else:
         reports = [approximation_gap(series, cfg["c"], n) for n in cfg["horizons"]]
-    return [_table("gap", **_fields(
+    return [Table("gap", **_fields(
         reports, "n", "c", "sum_norm_sq", "cross", "gap_sq", "c_star", "min_gap_sq",
     ))]
 
 
 @_command("prop6", Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)"),
           Opt("k-max", int, 40, "zeros kept in the full product (default 40)"))
-def _cmd_prop6(cfg) -> list[tuple]:
+def _cmd_prop6(cfg) -> list[Table]:
     """dyadic Blaschke midpoint bounds per level"""
     lo, hi = cfg["n_range"]
     k_max = cfg["k_max"]
@@ -452,7 +452,7 @@ def _cmd_prop6(cfg) -> list[tuple]:
     levels = range(lo, hi + 1)
     reps = [dyadic_midpoint_report(level, k_max) for level in levels]
     at_zero = [abs(blaschke_eval_radial(spec, spec.zeros[level - 1])) for level in levels]
-    return [_table(
+    return [Table(
         "bounds",
         **_fields(reps, "level", "r", "p1", "p2", "p3", "p4", "product", "c_bound"),
         value_at_zero=at_zero,
@@ -487,7 +487,7 @@ _DECADES = tuple(10**j for j in range(7))
               f"horizon search cap (default {DEFAULT_SEARCH_CAP})"),
           Opt("horizons", _parse_int_list, None, "norm-table horizons (default: "
               "powers of 10 merged with the synthesized horizons)"))
-def _cmd_prop3(cfg) -> list[tuple]:
+def _cmd_prop3(cfg) -> list[Table]:
     """layered-process synthesis, residual norms, decode summary"""
     if cfg["K"] < 2:
         raise UsageError("K must be >= 2")
@@ -495,7 +495,7 @@ def _cmd_prop3(cfg) -> list[tuple]:
     params = synthesize_layer_params(rule, cfg["K"], cfg["search_cap"])
     columns = {key: getattr(params, key).tolist()
                for key in ("p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi")}
-    tables = [_table("params", level=list(range(1, params.level_count + 1)), **columns)]
+    tables = [Table("params", level=list(range(1, params.level_count + 1)), **columns)]
 
     phi_set = set(columns["phi"])
     if cfg["horizons"] is None:  # the derived default is echoed in the metadata
@@ -505,7 +505,7 @@ def _cmd_prop3(cfg) -> list[tuple]:
     lagged = [residual_norm_sq_lagged(params, n) for n in horizons]
     natural = [residual_norm_sq_natural(params, n) for n in horizons]
     floor = [n * rule(n) ** 2 for n in horizons]
-    tables.append(_table(
+    tables.append(Table(
         "norms",
         n=horizons,
         is_synth_horizon=synth,
@@ -532,7 +532,7 @@ def _cmd_prop3(cfg) -> list[tuple]:
 
 
 @_command("prop2", Opt("depth", int, 3, "carrier depth, 1..6 (default 3)"))
-def _cmd_prop2(cfg) -> list[tuple]:
+def _cmd_prop2(cfg) -> list[Table]:
     """exact filtration model: increment norms and digit decoding"""
     depth = cfg["depth"]
     if not 1 <= depth <= 6:
@@ -549,7 +549,7 @@ def _cmd_prop2(cfg) -> list[tuple]:
 
     ks = sorted(norms)
     return [
-        _table("md_norms", k=ks, norm=[norms[k] for k in ks]),
+        Table("md_norms", k=ks, norm=[norms[k] for k in ks]),
         _row(
             "summary",
             depth=depth,
@@ -577,9 +577,9 @@ def main(argv=None) -> int:
         tables = _COMMANDS[args.command](cfg)
         metadata = _metadata(cfg)
         stem, ext = _stem(cfg), cfg["out"]
-        for name, schema, rows in tables:
-            for path in emit_table(rows, schema, ext, f"{stem}_{name}.{ext}", metadata):
-                print(path)
+        for table in tables:
+            path = f"{stem}_{table.name}.{ext}"
+            print(*emit_table(table, out_format=ext, path=path, metadata=metadata), sep="\n")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,14 @@
 """CLI adapter: resolution order, deterministic files, exit statuses.
 
-The library modules never import the CLI; this is the only test file that
-does, which keeps the adapter thin by construction.
+The library modules never import the CLI, which keeps the adapter thin by
+construction.
 """
 
 import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from mgapprox import (
     hannan_sum,
     singular_inner_coeffs,
 )
-from mgapprox.cli import _RENDER, _ROW_BLOCK, OUT_DIR_ENV, UsageError, emit_table, main
+from mgapprox.cli import _RENDER, _ROW_BLOCK, OUT_DIR_ENV, Table, UsageError, _row, emit_table, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +68,12 @@ def _json_cell(value):
     if isinstance(value, (float, np.floating)):
         return float(value)
     return str(value)
+
+
+def table_of(rows, schema) -> Table:
+    """The Table holding rows under schema."""
+    columns = zip(*rows) if rows else [()] * len(schema)
+    return Table("t", **{name: list(column) for name, column in zip(schema, columns)})
 
 
 def reference_bytes(rows, schema, out_format, metadata) -> bytes:
@@ -155,7 +162,7 @@ class TestEmitTable:
         schema = [f"c{j}" for j in range(width)]
         metadata = {"config": {"horizons": [1, 10]}}
         path = f"t.{out_format}"
-        emit_table(rows, schema, out_format, path, metadata)
+        emit_table(table_of(rows, schema), out_format=out_format, path=path, metadata=metadata)
         assert read(path) == reference_bytes(rows, schema, out_format, metadata)
 
     @settings(deadline=None, max_examples=100)
@@ -177,7 +184,8 @@ class TestEmitTable:
                            for column in columns]
             rows = list(zip(*columns))
             path = f"t.{out_format}"
-            emit_table(rows, schema, out_format, path, metadata)
+            table = Table("t", **dict(zip(schema, columns)))
+            emit_table(table, out_format=out_format, path=path, metadata=metadata)
             assert read(path) == reference_bytes(rows, schema, out_format, metadata)
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
@@ -185,9 +193,21 @@ class TestEmitTable:
         calls = []
         cell_text = _RENDER[out_format][0]
         monkeypatch.setitem(cell_text, float, lambda v: calls.append(v) or repr(v))
-        rows = [(None, 0), *((i / 3, i) for i in range(1, 10))]
-        emit_table(rows, ["x", "n"], out_format, f"t.{out_format}", {})
+        table = Table("t", x=[None, *(i / 3 for i in range(1, 10))], n=list(range(10)))
+        emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
         assert calls == []
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_all_none_column_takes_the_template(self, out_format, monkeypatch):
+        calls = []
+        cell_text = _RENDER[out_format][0]
+        none_text = cell_text[type(None)]
+        monkeypatch.setitem(cell_text, type(None), lambda v: calls.append(v) or none_text(v))
+        rows = [(None, i) for i in range(10)]
+        emit_table(table_of(rows, ["x", "n"]), out_format=out_format,
+                   path=f"t.{out_format}", metadata={})
+        assert calls == [None]  # row 0 only
+        assert read(f"t.{out_format}") == reference_bytes(rows, ["x", "n"], out_format, {})
 
     @pytest.mark.parametrize("out_format, column, cell, error", [
         ("csv", 0, 10 ** sys.get_int_max_str_digits(), "integer string conversion"),
@@ -200,53 +220,76 @@ class TestEmitTable:
         rows = [[i, i / 3, "x"] for i in range(_ROW_BLOCK + 1)]
         rows[-1][column] = cell
         with pytest.raises(ValueError, match=error):
-            emit_table(rows, ["n", "x", "tag"], out_format, f"t.{out_format}", {})
+            emit_table(table_of(rows, ["n", "x", "tag"]), out_format=out_format,
+                       path=f"t.{out_format}", metadata={})
         assert os.listdir() == []
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     @pytest.mark.parametrize("cell", [np.int64(3), np.float64(0.5)], ids=["int64", "float64"])
-    def test_numpy_scalar_cell_rejected(self, cell, out_format):
-        rows = [[1, 0.5], [2, cell]]
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_numpy_scalar_cell_rejected(self, cell, out_format, row):
+        table = Table("t", n=[1, 2], x=[0.5, 0.5])
+        table.columns["x"][row] = cell
         with pytest.raises(TypeError, match=f"column 'x' holds a cell of type {type(cell).__name__};"):
-            emit_table(rows, ["n", "x"], out_format, f"t.{out_format}", {})
+            emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
+        assert os.listdir() == []
+
+    def test_type_error_names_the_first_bad_column_in_table_order(self):
+        # row by row, x's row-0 cell would be the first bad one
+        table = Table("t", n=[1, 2, np.int64(3)], x=[np.float64(0.5), 1.0, 2.0])
+        with pytest.raises(TypeError, match="column 'n' holds a cell of type int64;"):
+            emit_table(table, out_format="csv", path="t.csv", metadata={})
         assert os.listdir() == []
 
     def test_csv_rendering(self, tmp_path):
-        rows = [[1, 0.5, None, True, "x"], [2, -1.0, 3.0, False, "y"]]
-        paths = emit_table(
-            rows, ["n", "a", "b", "ok", "tag"], "csv", "t.csv", {"config": {}}
-        )
+        table = Table("t", n=[1, 2], a=[0.5, -1.0], b=[None, 3.0], ok=[True, False], tag=["x", "y"])
+        paths = emit_table(table, out_format="csv", path="t.csv", metadata={"config": {}})
         assert paths == ["t.csv", "t.csv.meta.json"]
         text = read("t.csv").decode()
         assert text == "n,a,b,ok,tag\n1,0.5,,true,x\n2,-1,3,false,y\n"
 
     def test_csv_seventeen_digit_floats(self):
-        emit_table([[math.pi]], ["v"], "csv", "pi.csv", {})
+        emit_table(Table("t", v=[math.pi]), out_format="csv", path="pi.csv", metadata={})
         assert read("pi.csv").decode() == "v\n3.1415926535897931\n"
 
     def test_empty_rows_header_only(self):
-        emit_table([], ["a", "b"], "csv", "e.csv", {})
+        emit_table(Table("t", a=[], b=[]), out_format="csv", path="e.csv", metadata={})
         assert read("e.csv").decode() == "a,b\n"
 
     def test_single_row_two_lines(self):
-        emit_table([[1, 2]], ["a", "b"], "csv", "s.csv", {})
+        emit_table(Table("t", a=[1], b=[2]), out_format="csv", path="s.csv", metadata={})
         assert len(read("s.csv").decode().splitlines()) == 2
 
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_one_row_table_renders_as_rows(self, out_format):
+        cells = {"samples": 50, "tag": "1;2", "p": 0.25, "ok": True, "gap": None, "x": -1.5}
+        emit_table(_row("decode", **cells), out_format=out_format, path=f"d.{out_format}",
+                   metadata={"k": 1})
+        assert read(f"d.{out_format}") == reference_bytes(
+            [list(cells.values())], list(cells), out_format, {"k": 1})
+
     def test_json_structure(self):
-        emit_table([[1, None, True]], ["n", "x", "ok"], "json", "t.json", {"k": 1})
+        table = Table("t", n=[1], x=[None], ok=[True])
+        emit_table(table, out_format="json", path="t.json", metadata={"k": 1})
         payload = json.loads(read("t.json"))
         assert set(payload) == {"metadata", "schema", "rows"}
         assert payload["schema"] == ["n", "x", "ok"]
         assert payload["rows"] == [[1, None, True]]
         assert payload["metadata"] == {"k": 1}
 
-    def test_schema_width_enforced(self):
-        with pytest.raises(ValueError):
-            emit_table([[1, 2]], ["a"], "csv", "w.csv", {})
+    def test_unequal_columns_rejected(self):
+        message = "table 'w' has columns of unequal length {'a': 2, 'b': 1}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Table("w", a=[1, 2], b=[1])
+
+    def test_len_is_the_row_count(self):
+        assert len(Table("t", a=[], b=[])) == 0
+        assert len(Table("t")) == 0
+        assert len(Table("t", a=[1, 2, 3], b=[None] * 3)) == 3
 
     def test_unknown_format_rejected(self):
         with pytest.raises(UsageError):
-            emit_table([], ["a"], "xml", "t.xml", {})
+            emit_table(Table("t", a=[]), out_format="xml", path="t.xml", metadata={})
 
 
 class TestRunsAndValues:
