@@ -5,7 +5,8 @@ status, the paths it prints, its stderr less the wall-time line, the
 warnings it raises, and the SHA-256 of each file it writes.  The
 ``versions`` block of the metadata is cut out of each file before hashing
 and compared on its own, so a numpy or Python upgrade shows as exactly
-that and names the versions that differ.  Commands run at seed 0.
+that and names the versions that differ.  Commands run at seed 0 unless
+they name another.
 
 Refresh the manifest with::
 
@@ -45,6 +46,8 @@ COMMANDS = [
     "inner --kind blaschke --trunc 3000",
     *(f"prop2 --depth {depth}" for depth in range(1, 7)),
     "prop3 --K 2", "prop3 --K 8", "prop3 --K 24", "prop3 --b-rule power:0.25",
+    # the benchmark's K = 8 ladder at two more seeds
+    *(f"prop3 --K 8 --samples 4000 --seed {seed}" for seed in (1, 2)),
     "gap --a 700",
     # refusals: they exit 1 and write nothing
     "gap --c 1e308", "gap --a 746", "inner --kind blaschke --factors 1000000000",
