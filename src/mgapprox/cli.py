@@ -3,9 +3,9 @@
 Each subcommand is a thin adapter, registered by ``_command`` together with
 its help line and options: it calls library functions on the resolved
 configuration and returns their results as ``Table``s, named columns of
-native Python values; main hands each to ``emit_table`` only once all of
-them are computed, so a failed command writes no file.  No numeric logic
-lives here.
+native Python values or numpy arrays; main hands each to ``emit_table``
+only once all of them are computed, so a failed command writes no file.
+No numeric logic lives here.
 Configuration comes from flags, then a key=value config file, then
 documented defaults; the resolved configuration is echoed into the output
 metadata, and rerunning with an identical configuration produces
@@ -27,7 +27,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,7 @@ from .layered_process import (
 from .linear_process import approximation_gap, best_scalar_gap
 from .series import cesaro_profile
 
-__all__ = ["Table", "UsageError", "emit_table", "entry", "main"]
+__all__ = ["LeadingNone", "Table", "UsageError", "emit_table", "entry", "main"]
 
 OUT_DIR_ENV = "MGAPPROX_OUT_DIR"
 
@@ -241,13 +241,21 @@ _RENDER = {
     "json": (_JSON_TEXT, {type(None): "null%.0s", int: "%d", float: "%r"}),
 }
 _ROW_BLOCK = 4096  # rows rendered by one %-operation and written at once
+# The cell type of the array dtypes accepted besides the integer ones.
+_ARRAY_CELLS = {np.dtype(bool): bool, np.dtype(float): float}
 
 
 class Table:
-    """A name and ordered named columns of native cells, checked once for
-    equal length; ``len()`` is the row count."""
+    """A name and ordered named columns, checked once for equal length;
+    ``len()`` is the row count.  A column is a list of native cells, a 1-D
+    numpy array of bool, integer or float64 dtype, or a ``LeadingNone``."""
 
-    def __init__(self, name: str, /, **columns: list):
+    def __init__(self, name: str, /, **columns: list | np.ndarray | LeadingNone):
+        for key, column in columns.items():
+            array = getattr(column, "rest", column)
+            if isinstance(array, np.ndarray) and array.ndim != 1:
+                raise TypeError(f"column {key!r} of table {name!r} holds a {array.ndim}-D "
+                                "array; array columns must be 1-D")
         lengths = {key: len(column) for key, column in columns.items()}
         if len(set(lengths.values())) > 1:
             raise ValueError(f"table {name!r} has columns of unequal length {lengths}")
@@ -255,6 +263,30 @@ class Table:
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values()), ()))
+
+
+@dataclass(frozen=True)
+class LeadingNone:
+    """A column that is None in row 0 and the cells of an array in rows 1..,
+    like inner's M_n."""
+
+    rest: np.ndarray
+
+    def __len__(self) -> int:
+        return 1 + len(self.rest)
+
+
+def _cells(column, lo: int, hi: int) -> list:
+    """Rows lo..hi of a list or array column as native Python values."""
+    block = column[lo:hi]
+    return block.tolist() if isinstance(block, np.ndarray) else block
+
+
+def _split(column) -> tuple[list, list | np.ndarray]:
+    """Row 0 of a column as a list of native cells, and its rows 1..."""
+    if isinstance(column, LeadingNone):
+        return [None], column.rest
+    return _cells(column, 0, 1), column[1:]
 
 
 def _write_chunks(path: str, chunks) -> None:
@@ -273,7 +305,8 @@ def _row_blocks(row: str, columns: list, start: int, stop: int):
     """Rows start..stop of (column, cell texts or None) pairs, _ROW_BLOCK at a time."""
     for lo in range(start, stop, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, stop)
-        cells = [c[lo:hi] if t is None else [t[type(x)](x) for x in c[lo:hi]] for c, t in columns]
+        blocks = [(_cells(c, lo, hi), t) for c, t in columns]
+        cells = [b if t is None else [t[type(x)](x) for x in b] for b, t in blocks]
         yield row * (hi - lo) % tuple(chain.from_iterable(zip(*cells)))
 
 
@@ -288,54 +321,61 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     The table comes first and ``out_format`` by keyword: perfbench/tracer.py
     counts rows as ``len()`` of the one and names its span after the other.
     Cells must be None, bool, int, float or str; any other type, a numpy
-    scalar included, raises TypeError naming the first such column.  CSV:
-    header row, '.' decimal separator, floats at 17 significant digits, None
-    as the empty cell, booleans as true/false; metadata goes to a
-    {path}.meta.json sidecar.  JSON: the object json.dumps(sort_keys=True,
-    indent=2) makes of metadata, schema and rows.  Both are byte-stable for
-    fixed inputs.  Row 0 renders cell by cell, and rows 1.. through one row
-    template that renders and writes _ROW_BLOCK rows at a time: a column
-    whose cells from row 1 on are of one type takes that type's %-spec, any
-    other renders cell by cell, so a column that is None in row 0 only, like
-    inner's M_n, still takes its spec.  A file whose rendering or writing
-    fails partway is removed, so a failure leaves no table file.
+    scalar included, raises TypeError naming the first such column, and so
+    does an array of another dtype.  CSV: header row, '.' decimal separator,
+    floats at 17 significant digits, None as the empty cell, booleans as
+    true/false; metadata goes to a {path}.meta.json sidecar.  JSON: the
+    object json.dumps(sort_keys=True, indent=2) makes of metadata, schema
+    and rows.  Both are byte-stable for fixed inputs.  Row 0 renders cell by
+    cell, and rows 1.. through one row template that renders and writes
+    _ROW_BLOCK rows at a time, arrays turned into Python values a block at a
+    time: a column whose cells from row 1 on are of one type (an array's
+    dtype) takes that type's %-spec, any other renders cell by cell, so a
+    column that is None in row 0 only, like inner's M_n, still takes its
+    spec.  A file whose rendering or writing fails partway is removed, so a
+    failure leaves no table file.
     """
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
-    schema, columns = list(table.columns), list(table.columns.values())
-    kinds = [set(map(type, islice(column, 1, None))) for column in columns]
-    for name, column, kind in zip(schema, columns, kinds):
-        if not kind.union(map(type, column[:1])) <= _CELL_TEXT.keys():
-            bad = next(type(cell) for cell in column if type(cell) not in _CELL_TEXT)
+    cell_text, column_spec = _RENDER[out_format]
+    schema, heads, columns, specs = list(table.columns), [], [], []
+    for name, column in table.columns.items():
+        head, rest = _split(column)
+        if isinstance(rest, np.ndarray):
+            kind = {int if rest.dtype.kind in "iu" else _ARRAY_CELLS.get(rest.dtype)}
+            if None in kind:
+                raise TypeError(f"column {name!r} is an array of dtype {rest.dtype}; "
+                                "arrays must be of bool, integer or float64 dtype")
+        else:
+            kind = set(map(type, rest))
+        if not kind.union(map(type, head)) <= _CELL_TEXT.keys():
+            bad = next(type(cell) for cell in chain(head, rest) if type(cell) not in _CELL_TEXT)
             raise TypeError(f"column {name!r} holds a cell of type {bad.__name__}; "
                             "cells must be None, bool, int, float or str")
-    cell_text, column_spec = _RENDER[out_format]
+        spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
+        plain = spec is not None and (spec != "%r" or np.isfinite(rest).all())
+        heads.extend(head)
+        columns.append((rest, None if plain else cell_text))
+        specs.append(spec if plain else "%s")
     n = len(table)
     # row 0 cell by cell, so a None there leaves its column the spec of rows 1..
-    lead = [[cell_text[type(column[0])](column[0]) for column in columns]] if n else []
-    specs = []
-    for j, kind in enumerate(kinds):
-        spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
-        plain = spec is not None and (
-            spec != "%r" or all(map(math.isfinite, islice(columns[j], 1, None))))
-        columns[j] = (columns[j], None if plain else cell_text)
-        specs.append(spec if plain else "%s")
+    lead = [[cell_text[type(cell)](cell) for cell in heads]] if n else []
     if out_format == "csv":
         sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
         head = (",".join(cells) + "\n" for cells in [schema, *lead])
-        _write_chunks(path, chain(head, _row_blocks(",".join(specs) + "\n", columns, 1, n)))
+        _write_chunks(path, chain(head, _row_blocks(",".join(specs) + "\n", columns, 0, n - 1)))
         _write_chunks(path + ".meta.json", [sidecar])
         return [path, path + ".meta.json"]
     # keys in sorted order; every row but the last ends in a comma
-    row, last = _json_row(specs), max(n - 1, 1)
+    row, last = _json_row(specs), max(n - 2, 0)
     meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
                    for v in (metadata, schema))
     head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(n)
     tail = "  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
     first_end = ",\n" if n > 1 else "\n"
     _write_chunks(path, chain([head], (_json_row(cells) + first_end for cells in lead),
-                              _row_blocks(row + ",\n", columns, 1, last),
-                              _row_blocks(row + "\n", columns, last, n), [tail]))
+                              _row_blocks(row + ",\n", columns, 0, last),
+                              _row_blocks(row + "\n", columns, last, n - 1), [tail]))
     return [path]
 
 
@@ -398,15 +438,16 @@ def _cmd_inner(cfg) -> list[Table]:
     series = _build_series(cfg)
     profile = cesaro_profile(series)
     order = series.order
-    main_term = [None] * (order + 1)
     if cfg["kind"] == "singular":
-        main_term[1:] = newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)).tolist()
+        main_term = LeadingNone(newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)))
+    else:
+        main_term = [None] * (order + 1)
     return [Table(
         "series",
-        n=list(range(order + 1)),
-        a_n=series.coeffs.tolist(),
-        A_n=profile.partial_sums.tolist(),
-        M_n=[None, *profile.cesaro_means.tolist()],
+        n=np.arange(order + 1),
+        a_n=series.coeffs,
+        A_n=profile.partial_sums,
+        M_n=LeadingNone(profile.cesaro_means),
         main_term=main_term,
     )]
 
@@ -418,9 +459,9 @@ def _cmd_cesaro(cfg) -> list[Table]:
     profile = cesaro_profile(series)
     return [Table(
         "cesaro",
-        n=list(range(1, series.order + 1)),
-        partial_sum=profile.partial_sums[1:].tolist(),
-        cesaro_mean=profile.cesaro_means.tolist(),
+        n=np.arange(1, series.order + 1),
+        partial_sum=profile.partial_sums[1:],
+        cesaro_mean=profile.cesaro_means,
     )]
 
 

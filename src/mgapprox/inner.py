@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable
 
 import numpy as np
@@ -82,6 +82,9 @@ _CASCADE_BLOCK = 128
 # to order 300); 64 eps per step keeps a wide margin and, under the work
 # ceiling, adds at most 1.5e-7.
 _TAIL_SLACK_PER_STEP = 64.0 * np.finfo(float).eps
+
+# Orders per block of the main term's per-cell math.pow and math.cos.
+_TERM_BLOCK = 4096
 
 # Largest singular parameter: the recurrence is seeded with exp(-a), which
 # stays a normal double up to a = 708 and is 0 above a = 745.
@@ -157,25 +160,29 @@ def newman_shapiro_main_term(a: float, n):
     of orders, giving a float64 array.  The phases are one array pass
     (sqrt is correctly rounded, so they equal math.sqrt's); n^(-3/4) and
     the cosine are taken per cell with math.pow and math.cos, because
-    numpy's power differs from libm's pow in the last bit on some cells.
+    numpy's power differs from libm's pow in the last bit on some cells,
+    over _TERM_BLOCK orders at a time, and the products are array passes
+    (IEEE multiplication gives the Python float product, in the same order).
     """
     a = float(a)
     if not a > 0.0:
         raise ValueError("the singular parameter must be positive")
     scalar = np.ndim(n) == 0
-    if scalar:
-        orders = [int(n)]
-    else:
-        arr = np.asarray(n)
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            raise ValueError("orders must be a one-dimensional integer sequence")
-        orders = arr.tolist()
-    if orders and min(orders) < 1:
+    orders = np.array([int(n)], dtype=object) if scalar else np.asarray(n)
+    if not scalar and (orders.ndim != 1 or orders.dtype.kind not in "iu"):
+        raise ValueError("orders must be a one-dimensional integer sequence")
+    if orders.size and orders.min() < 1:
         raise ValueError("the asymptotic needs n >= 1")
     amp = (2.0 * a) ** 0.25 / math.sqrt(math.pi)
-    phases = 2.0 * np.sqrt(2.0 * a * np.array(orders, dtype=float)) + math.pi / 4.0
-    cells = [amp * math.pow(m, -0.75) * math.cos(p) for m, p in zip(orders, phases.tolist())]
-    return cells[0] if scalar else np.array(cells)
+    phases = 2.0 * np.sqrt(2.0 * a * orders.astype(float)) + math.pi / 4.0
+    terms = np.empty(orders.size)
+    for lo in range(0, orders.size, _TERM_BLOCK):
+        block = slice(lo, lo + _TERM_BLOCK)
+        count = len(terms[block])
+        pows = np.fromiter(map(math.pow, orders[block].tolist(), repeat(-0.75)), float, count)
+        cosines = np.fromiter(map(math.cos, phases[block].tolist()), float, count)
+        np.multiply(amp * pows, cosines, out=terms[block])
+    return float(terms[0]) if scalar else terms
 
 
 @dataclass(frozen=True, eq=False)

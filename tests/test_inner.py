@@ -207,6 +207,12 @@ class TestNewmanShapiroAsymptotic:
         got = newman_shapiro_main_term(a, orders)
         want = np.array([scalar(n) for n in range(1, 30001)])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        # counts around one block of orders, and a strided view of them
+        for count in (4095, 4096, 4097):
+            got = newman_shapiro_main_term(a, orders[:count])
+            assert got.view(np.uint64).tolist() == want[:count].view(np.uint64).tolist()
+        got = newman_shapiro_main_term(a, orders[::3])
+        assert got.view(np.uint64).tolist() == want[::3].view(np.uint64).tolist()
         assert newman_shapiro_main_term(a, 777) == want[776]
         assert type(newman_shapiro_main_term(a, 777)) is float
         assert newman_shapiro_main_term(a, 2**70) == scalar(2**70)
