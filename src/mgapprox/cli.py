@@ -267,10 +267,10 @@ class Table:
 
 @dataclass(frozen=True)
 class LeadingNone:
-    """A column that is None in row 0 and the cells of an array in rows 1..,
-    like inner's M_n."""
+    """A column that is None in row 0 and the cells of ``rest``, an array or
+    a list, in rows 1.., like inner's M_n."""
 
-    rest: np.ndarray
+    rest: np.ndarray | list
 
     def __len__(self) -> int:
         return 1 + len(self.rest)
@@ -283,7 +283,8 @@ def _cells(column, lo: int, hi: int) -> list:
 
 
 def _split(column) -> tuple[list, list | np.ndarray]:
-    """Row 0 of a column as a list of native cells, and its rows 1..."""
+    """Row 0 of a column as a list of native cells, and its rows 1.. (a view
+    of an array, a copy of a list)."""
     if isinstance(column, LeadingNone):
         return [None], column.rest
     return _cells(column, 0, 1), column[1:]
@@ -441,7 +442,7 @@ def _cmd_inner(cfg) -> list[Table]:
     if cfg["kind"] == "singular":
         main_term = LeadingNone(newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)))
     else:
-        main_term = [None] * (order + 1)
+        main_term = LeadingNone([None] * order)  # rows 1.. read in place, not copied
     return [Table(
         "series",
         n=np.arange(order + 1),

@@ -159,15 +159,16 @@ def newman_shapiro_main_term(a: float, n):
     ``n`` is one order, giving a float, or a one-dimensional integer array
     of orders, giving a float64 array.  The phases are one array pass
     (sqrt is correctly rounded, so they equal math.sqrt's); n^(-3/4) and
-    the cosine are taken per cell with math.pow and math.cos, because
-    numpy's power differs from libm's pow in the last bit on some cells,
-    over _TERM_BLOCK orders at a time, and the products are array passes
-    (IEEE multiplication gives the Python float product, in the same order).
+    the cosine are taken per cell with math.pow and math.cos, _TERM_BLOCK
+    orders at a time, because numpy's power differs from libm's pow in the
+    last bit on some cells.  The products are array passes: IEEE
+    multiplication in the same order gives the Python float products.
     """
     a = float(a)
     if not a > 0.0:
         raise ValueError("the singular parameter must be positive")
     scalar = np.ndim(n) == 0
+    # object dtype keeps a scalar order beyond int64 exact
     orders = np.array([int(n)], dtype=object) if scalar else np.asarray(n)
     if not scalar and (orders.ndim != 1 or orders.dtype.kind not in "iu"):
         raise ValueError("orders must be a one-dimensional integer sequence")
@@ -177,11 +178,10 @@ def newman_shapiro_main_term(a: float, n):
     phases = 2.0 * np.sqrt(2.0 * a * orders.astype(float)) + math.pi / 4.0
     terms = np.empty(orders.size)
     for lo in range(0, orders.size, _TERM_BLOCK):
-        block = slice(lo, lo + _TERM_BLOCK)
-        count = len(terms[block])
-        pows = np.fromiter(map(math.pow, orders[block].tolist(), repeat(-0.75)), float, count)
-        cosines = np.fromiter(map(math.cos, phases[block].tolist()), float, count)
-        np.multiply(amp * pows, cosines, out=terms[block])
+        hi = min(lo + _TERM_BLOCK, orders.size)
+        pows = np.fromiter(map(math.pow, orders[lo:hi].tolist(), repeat(-0.75)), float, hi - lo)
+        cosines = np.fromiter(map(math.cos, phases[lo:hi].tolist()), float, hi - lo)
+        np.multiply(amp * pows, cosines, out=terms[lo:hi])
     return float(terms[0]) if scalar else terms
 
 
