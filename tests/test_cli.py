@@ -157,6 +157,7 @@ def leading_none_table(n):
     ]
 
 
+INT64 = np.iinfo(np.int64)
 SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308]
 
 
@@ -249,6 +250,20 @@ class TestEmitTable:
             emit_table(Table("t", **dict(zip(schema, lists))), out_format=out_format,
                        path=f"l.{out_format}", metadata={})
             assert read(f"a.{out_format}") == read(f"l.{out_format}")
+            assert read(f"a.{out_format}") == reference_bytes(rows, schema, out_format, {})
+
+    @pytest.mark.parametrize("n", [1, 2, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
+    def test_special_array_cells_match_the_oracle(self, n):
+        """Every special value in every block, not left to the draw."""
+        floats = np.resize(np.array(SPECIAL_FLOATS + [-1.5]), n)
+        ints = np.resize(np.array([INT64.min, INT64.max, 0, -1]), n)
+        columns = [floats, ints, np.resize([True, False], n), np.resize([-0.0, 0.25], n),
+                   LeadingNone(floats[::-1][1:])]
+        schema = [f"c{j}" for j in range(len(columns))]
+        rows = list(zip(*map(listed, columns)))
+        for out_format in ("csv", "json"):
+            emit_table(Table("t", **dict(zip(schema, columns))), out_format=out_format,
+                       path=f"a.{out_format}", metadata={})
             assert read(f"a.{out_format}") == reference_bytes(rows, schema, out_format, {})
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
