@@ -103,7 +103,13 @@ def cauchy_product(s1: CoefficientSeries, s2: CoefficientSeries, n: int) -> Coef
         raise ValueError(
             f"truncation order {n} exceeds a stored order ({s1.order}, {s2.order})"
         )
-    full = np.convolve(s1.coeffs[: n + 1], s2.coeffs[: n + 1])
+    a, b = s1.coeffs[: n + 1], s2.coeffs[: n + 1]
+    # np.convolve rounds a cancelling sum differently with its operands
+    # swapped; one fixed operand order makes the product commutative bit
+    # for bit
+    if a.tobytes() > b.tobytes():
+        a, b = b, a
+    full = np.convolve(a, b)
     # a product of inner functions is inner, so the certificate survives
     return CoefficientSeries(
         full[: n + 1],
