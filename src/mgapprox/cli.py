@@ -248,7 +248,8 @@ _ARRAY_CELLS = {np.dtype(bool): bool, np.dtype(float): float}
 class Table:
     """A name and ordered named columns, checked once for equal length;
     ``len()`` is the row count.  A column is a list of native cells, a 1-D
-    numpy array of bool, integer or float64 dtype, or a ``LeadingNone``."""
+    numpy array of bool, integer or float64 dtype, or a ``LeadingNone``, the
+    one way to put None in row 0 of a column whose other rows take a spec."""
 
     def __init__(self, name: str, /, **columns: list | np.ndarray | LeadingNone):
         for key, column in columns.items():
@@ -268,7 +269,8 @@ class Table:
 @dataclass(frozen=True)
 class LeadingNone:
     """A column that is None in row 0 and the cells of ``rest``, an array or
-    a list, in rows 1.., like inner's M_n."""
+    a list, in rows 1.., like inner's M_n: row 0 takes the None spec, and the
+    other rows the spec of the kind of ``rest``."""
 
     rest: np.ndarray | list
 
@@ -277,17 +279,13 @@ class LeadingNone:
 
 
 def _cells(column, lo: int, hi: int) -> list:
-    """Rows lo..hi of a list or array column as native Python values."""
+    """Rows lo..hi of a column as native Python values: an array's block is
+    converted in one tolist(), and a LeadingNone reads rest one row back."""
+    if isinstance(column, LeadingNone):
+        cells = _cells(column.rest, max(lo - 1, 0), hi - 1)
+        return [None, *cells] if lo == 0 else cells
     block = column[lo:hi]
     return block.tolist() if isinstance(block, np.ndarray) else block
-
-
-def _split(column) -> tuple[list, list | np.ndarray]:
-    """Row 0 of a column as a list of native cells, and its rows 1.. (a view
-    of an array, a copy of a list)."""
-    if isinstance(column, LeadingNone):
-        return [None], column.rest
-    return _cells(column, 0, 1), column[1:]
 
 
 def _write_chunks(path: str, chunks) -> None:
@@ -313,7 +311,7 @@ def _row_blocks(row: str, columns: list, start: int, stop: int):
 
 def _json_row(cells: list[str]) -> str:
     """The JSON text of one row, given its cells' texts or %-specs."""
-    return "    [" + ("\n      " + ",\n      ".join(cells) + "\n    " if cells else "") + "]"
+    return "    [\n      " + ",\n      ".join(cells) + "\n    ]"
 
 
 def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> list[str]:
@@ -327,56 +325,54 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     floats at 17 significant digits, None as the empty cell, booleans as
     true/false; metadata goes to a {path}.meta.json sidecar.  JSON: the
     object json.dumps(sort_keys=True, indent=2) makes of metadata, schema
-    and rows.  Both are byte-stable for fixed inputs.  Row 0 renders cell by
-    cell, and rows 1.. through one row template that renders and writes
-    _ROW_BLOCK rows at a time, arrays turned into Python values a block at a
-    time: a column whose cells from row 1 on are of one type (an array's
-    dtype) takes that type's %-spec, any other renders cell by cell, so a
-    column that is None in row 0 only, like inner's M_n, still takes its
-    spec.  A file whose rendering or writing fails partway is removed, so a
-    failure leaves no table file.
+    and rows.  Both are byte-stable for fixed inputs.  Every row renders
+    through a row template, _ROW_BLOCK rows per %-operation and write,
+    arrays turned into Python values a block at a time: a column whose
+    cells are all of one type (an array's dtype, a LeadingNone's rest) takes
+    that type's %-spec, any other renders cell by cell.  Row 0 has its own
+    template, which gives LeadingNone columns the None spec.  A file whose
+    rendering or writing fails partway is removed, so a failure leaves no
+    table file.
     """
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
     cell_text, column_spec = _RENDER[out_format]
-    schema, heads, columns, specs = list(table.columns), [], [], []
+    columns, firsts, specs = [], [], []
     for name, column in table.columns.items():
-        head, rest = _split(column)
-        if isinstance(rest, np.ndarray):
-            kind = {int if rest.dtype.kind in "iu" else _ARRAY_CELLS.get(rest.dtype)}
+        values = getattr(column, "rest", column)
+        if isinstance(values, np.ndarray):
+            kind = {int if values.dtype.kind in "iu" else _ARRAY_CELLS.get(values.dtype)}
             if None in kind:
-                raise TypeError(f"column {name!r} is an array of dtype {rest.dtype}; "
+                raise TypeError(f"column {name!r} is an array of dtype {values.dtype}; "
                                 "arrays must be of bool, integer or float64 dtype")
         else:
-            kind = set(map(type, rest))
-        if not kind.union(map(type, head)) <= _CELL_TEXT.keys():
-            bad = next(type(cell) for cell in chain(head, rest) if type(cell) not in _CELL_TEXT)
+            kind = set(map(type, values))
+        if not kind <= _CELL_TEXT.keys():
+            bad = next(type(cell) for cell in values if type(cell) not in _CELL_TEXT)
             raise TypeError(f"column {name!r} holds a cell of type {bad.__name__}; "
                             "cells must be None, bool, int, float or str")
         spec = column_spec.get(next(iter(kind))) if len(kind) == 1 else None
-        plain = spec is not None and (spec != "%r" or np.isfinite(rest).all())
-        heads.extend(head)
-        columns.append((rest, None if plain else cell_text))
+        plain = spec is not None and (spec != "%r" or np.isfinite(values).all())
+        columns.append((column, None if plain else cell_text))
         specs.append(spec if plain else "%s")
-    n = len(table)
-    # row 0 cell by cell, so a None there leaves its column the spec of rows 1..
-    lead = [[cell_text[type(cell)](cell) for cell in heads]] if n else []
+        firsts.append(column_spec[type(None)] if isinstance(column, LeadingNone) else specs[-1])
+    n, schema = len(table), list(table.columns)
     if out_format == "csv":
         sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
-        head = (",".join(cells) + "\n" for cells in [schema, *lead])
-        _write_chunks(path, chain(head, _row_blocks(",".join(specs) + "\n", columns, 0, n - 1)))
+        head, first, row = (",".join(cells) + "\n" for cells in (schema, firsts, specs))
+        tail = ""
+    else:
+        # keys in sorted order; a newline opens row 0 and a comma and newline each later row
+        meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
+                       for v in (metadata, schema))
+        head = f'{{\n  "metadata": {meta},\n  "rows": ['
+        tail = "\n  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
+        first, row = "\n" + _json_row(firsts), ",\n" + _json_row(specs)
+    _write_chunks(path, chain([head], _row_blocks(first, columns, 0, min(n, 1)),
+                              _row_blocks(row, columns, 1, n), [tail]))
+    if out_format == "csv":
         _write_chunks(path + ".meta.json", [sidecar])
         return [path, path + ".meta.json"]
-    # keys in sorted order; every row but the last ends in a comma
-    row, last = _json_row(specs), max(n - 2, 0)
-    meta, names = (json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n  ")
-                   for v in (metadata, schema))
-    head = f'{{\n  "metadata": {meta},\n  "rows": [' + "\n" * bool(n)
-    tail = "  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
-    first_end = ",\n" if n > 1 else "\n"
-    _write_chunks(path, chain([head], (_json_row(cells) + first_end for cells in lead),
-                              _row_blocks(row + ",\n", columns, 0, last),
-                              _row_blocks(row + "\n", columns, last, n - 1), [tail]))
     return [path]
 
 
@@ -442,7 +438,7 @@ def _cmd_inner(cfg) -> list[Table]:
     if cfg["kind"] == "singular":
         main_term = LeadingNone(newman_shapiro_main_term(cfg["a"], np.arange(1, order + 1)))
     else:
-        main_term = LeadingNone([None] * order)  # rows 1.. read in place, not copied
+        main_term = [None] * (order + 1)
     return [Table(
         "series",
         n=np.arange(order + 1),
@@ -535,11 +531,11 @@ def _cmd_prop3(cfg) -> list[Table]:
         raise UsageError("K must be >= 2")
     rule = _floor_rule(cfg["b_rule"])
     params = synthesize_layer_params(rule, cfg["K"], cfg["search_cap"])
-    columns = {key: getattr(params, key).tolist()
+    columns = {key: getattr(params, key)
                for key in ("p", "rho", "phi", "log_q", "log_r", "log_s", "b_at_phi")}
-    tables = [Table("params", level=list(range(1, params.level_count + 1)), **columns)]
+    tables = [Table("params", level=np.arange(1, params.level_count + 1), **columns)]
 
-    phi_set = set(columns["phi"])
+    phi_set = set(params.phi.tolist())
     if cfg["horizons"] is None:  # the derived default is echoed in the metadata
         cfg["horizons"] = tuple(sorted(set(_DECADES) | phi_set))
     horizons = list(cfg["horizons"])

@@ -146,8 +146,9 @@ def block_table(n):
 
 
 def leading_none_table(n):
-    """Columns that are None in row 0 (an all-None one too), n rows: row 0
-    renders apart, so these take their specs over rows 1.."""
+    """Columns that are None in row 0 (an all-None one too), n rows, as
+    lists: a list that is None in row 0 only holds two kinds and renders
+    cell by cell, so these check those bytes against the oracle."""
     return [
         [None, *(i / 7 for i in range(1, n))],
         [None, *([math.nan, 0.5, math.inf, -math.inf] * n)[:n - 1]],
@@ -284,11 +285,23 @@ class TestEmitTable:
         assert sum(sizes) == 2 * n - 1  # every row once, but x's row 0
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_row_zero_takes_the_template(self, out_format, monkeypatch):
+        calls = []
+        cell_text = _RENDER[out_format][0]
+        for kind in (int, float):
+            monkeypatch.setitem(cell_text, kind, lambda v: calls.append(v) or repr(v))
+        table = Table("t", n=list(range(3)), x=[i / 3 for i in range(3)],
+                      m=np.arange(3), y=np.arange(3) / 7)
+        emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
+        assert calls == []
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_leading_none_float_column_takes_the_template(self, out_format, monkeypatch):
         calls = []
         cell_text = _RENDER[out_format][0]
         monkeypatch.setitem(cell_text, float, lambda v: calls.append(v) or repr(v))
-        table = Table("t", x=[None, *(i / 3 for i in range(1, 10))], n=list(range(10)))
+        table = Table("t", x=LeadingNone([i / 3 for i in range(1, 10)]),
+                      y=LeadingNone(np.arange(1, 10) / 3), n=list(range(10)))
         emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
         assert calls == []
 
@@ -301,7 +314,7 @@ class TestEmitTable:
         rows = [(None, i) for i in range(10)]
         emit_table(table_of(rows, ["x", "n"]), out_format=out_format,
                    path=f"t.{out_format}", metadata={})
-        assert calls == [None]  # row 0 only
+        assert calls == []
         assert read(f"t.{out_format}") == reference_bytes(rows, ["x", "n"], out_format, {})
 
     @pytest.mark.parametrize("out_format, column, cell, error", [
