@@ -25,7 +25,10 @@ import json
 import math
 import os
 import sys
+import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -289,12 +292,19 @@ def _cells(column, lo: int, hi: int) -> list:
 
 
 def _write_chunks(path: str, chunks) -> None:
-    """Write text chunks to path, removing it if any chunk fails to render or write."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    """Write chunks to path, text ones encoded and file ones copied by the
+    kernel, removing path if any chunk fails to render or write."""
     fh = open(path, "w", encoding="utf-8", newline="")
     try:
         with fh:
-            fh.writelines(chunks)
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    fh.write(chunk)
+                    continue
+                fh.flush()
+                offset, size = 0, os.fstat(chunk.fileno()).st_size
+                while offset < size:
+                    offset += os.sendfile(fh.fileno(), chunk.fileno(), offset, size - offset)
     except BaseException:
         os.remove(path)
         raise
@@ -307,6 +317,61 @@ def _row_blocks(row: str, columns: list, start: int, stop: int):
         blocks = [(_cells(c, lo, hi), t) for c, t in columns]
         cells = [b if t is None else [t[type(x)](x) for x in b] for b, t in blocks]
         yield row * (hi - lo) % tuple(chain.from_iterable(zip(*cells)))
+
+
+def _forks(n: int) -> bool:
+    """Whether an n-row table renders its later half in a forked child: it
+    spans two blocks, and a fork of this one-threaded process can run on a
+    second CPU."""
+    return (n >= 2 * _ROW_BLOCK and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+@contextmanager
+def _child_rows(row: str, columns: list, start: int, stop: int, directory: str):
+    """Rows start..stop of _row_blocks, rendered by a forked child into an
+    unlinked file in directory while the caller renders the rows before.
+
+    Yields the chunks that follow those rows: the child's file, once the
+    child has exited cleanly, or, if it failed, the rows rendered here, so
+    the error raised is the one a serial run raises.  The child ends in
+    os._exit, so it never returns into the caller nor flushes inherited
+    buffers, and it stops after the block during which the caller died; a
+    child still running on exit is killed and reaped.  An empty range forks
+    nothing.
+    """
+    if start == stop:
+        yield ()
+        return
+    with tempfile.TemporaryFile(dir=directory) as spool:
+        parent = os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                for block in _row_blocks(row, columns, start, stop):
+                    if os.getppid() != parent:  # the caller was killed: do not outlive it
+                        os._exit(1)
+                    spool.write(block.encode())
+                spool.flush()
+                status = 0
+            finally:
+                os._exit(status)
+
+        def joined():
+            nonlocal pid
+            status = os.waitpid(pid, 0)[1]
+            pid = 0
+            yield from _row_blocks(row, columns, start, stop) if status else [spool]
+
+        try:
+            yield joined()
+        finally:
+            if pid:
+                import signal  # only a failed write needs it, so no command pays its import
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _json_row(cells: list[str]) -> str:
@@ -330,9 +395,14 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     arrays turned into Python values a block at a time: a column whose
     cells are all of one type (an array's dtype, a LeadingNone's rest) takes
     that type's %-spec, any other renders cell by cell.  Row 0 has its own
-    template, which gives LeadingNone columns the None spec.  A file whose
-    rendering or writing fails partway is removed, so a failure leaves no
-    table file.
+    template, which gives LeadingNone columns the None spec.  A table of at
+    least 2 * _ROW_BLOCK rows, in a one-threaded process that may run on 2
+    CPUs, is split at the row midpoint: a forked child renders the later
+    half into an unlinked file beside path while this process renders the
+    earlier one, and the kernel appends the child's bytes, so the file is
+    the same bytes a serial run writes.  A file whose rendering or writing
+    fails partway is removed, so a failure leaves no table file, and no
+    child outlives the call.
     """
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
@@ -368,8 +438,12 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
         head = f'{{\n  "metadata": {meta},\n  "rows": ['
         tail = "\n  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
         first, row = "\n" + _json_row(firsts), ",\n" + _json_row(specs)
-    _write_chunks(path, chain([head], _row_blocks(first, columns, 0, min(n, 1)),
-                              _row_blocks(row, columns, 1, n), [tail]))
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    mid = 1 + (n - 1) // 2 if _forks(n) else n
+    with _child_rows(row, columns, mid, n, directory) as later:
+        _write_chunks(path, chain([head], _row_blocks(first, columns, 0, min(n, 1)),
+                                  _row_blocks(row, columns, 1, mid), later, [tail]))
     if out_format == "csv":
         _write_chunks(path + ".meta.json", [sidecar])
         return [path, path + ".meta.json"]

@@ -11,6 +11,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -269,18 +271,24 @@ class TestEmitTable:
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_array_blocks_become_python_values_one_block_at_a_time(self, out_format):
-        """Each array slice handed to tolist() spans at most one block."""
-        sizes = []
+        """Each array slice handed to tolist() spans at most one block.  The
+        sizes go to a file opened for appending, one line per call, so the
+        forked child that renders the later half records its calls too."""
+        log = os.open("sizes.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         tolist = np.ndarray.tolist
 
         class Spy(np.ndarray):
             def tolist(self):
-                sizes.append(self.size)
+                os.write(log, f"{self.size}\n".encode())
                 return tolist(self)
 
         n = 2 * _ROW_BLOCK + 3
         table = Table("t", n=np.arange(n).view(Spy), x=LeadingNone(np.ones(n - 1).view(Spy)))
-        emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
+        try:
+            emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
+        finally:
+            os.close(log)
+        sizes = [int(line) for line in read("sizes.log").split()]
         assert sizes and max(sizes) <= _ROW_BLOCK
         assert sum(sizes) == 2 * n - 1  # every row once, but x's row 0
 
@@ -420,6 +428,168 @@ class TestEmitTable:
             emit_table(Table("t", a=[]), out_format="xml", path="t.xml", metadata={})
 
 
+class TestForkedHalf:
+    """Tables of at least two blocks render their later half in a forked
+    child.  Each test sets the CPU count it needs, so the forked and the
+    serial path both run on any host, and spies on os.fork."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def spy():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        return calls
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                                raising=False)
+        return set_cpus
+
+    @staticmethod
+    def special_columns(n):
+        """SPECIAL_FLOATS in every block, a LeadingNone, a non-ASCII str
+        column and a mixed column rendered cell by cell, n rows."""
+        floats = np.resize(np.array(SPECIAL_FLOATS + [-1.5]), n)
+        return [np.arange(n), floats, LeadingNone(floats[::-1][1:]),
+                ["é€😀"[: i % 4] for i in range(n)], [None, *range(1, n)]]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("n", [2 * _ROW_BLOCK - 1, 2 * _ROW_BLOCK, 2 * _ROW_BLOCK + 1,
+                                   3 * _ROW_BLOCK + 7])
+    def test_split_matches_the_oracle_and_the_serial_path(self, n, out_format, forks, cpus):
+        columns = self.special_columns(n)
+        schema = [f"c{j}" for j in range(len(columns))]
+        rows = list(zip(*(c if isinstance(c, list) else listed(c) for c in columns)))
+        table = Table("t", **dict(zip(schema, columns)))
+        cpus(2)
+        emit_table(table, out_format=out_format, path=f"p.{out_format}", metadata={"k": 1})
+        assert len(forks) == (n >= 2 * _ROW_BLOCK)
+        cpus(1)
+        emit_table(table, out_format=out_format, path=f"s.{out_format}", metadata={"k": 1})
+        assert len(forks) == (n >= 2 * _ROW_BLOCK)
+        assert read(f"p.{out_format}") == read(f"s.{out_format}")
+        assert read(f"p.{out_format}") == reference_bytes(rows, schema, out_format, {"k": 1})
+        assert sorted(os.listdir()) == sorted(
+            [f"{side}.{out_format}{suffix}" for side in "ps"
+             for suffix in ["", ".meta.json"][: 1 + (out_format == "csv")]])
+
+    def test_a_multithreaded_caller_never_forks(self, forks, cpus):
+        n = 2 * _ROW_BLOCK + 1
+        rows = [(i, i / 3) for i in range(n)]
+        cpus(2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            emit_table(table_of(rows, ["n", "x"]), out_format="csv", path="t.csv", metadata={})
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert forks == []
+        assert read("t.csv") == reference_bytes(rows, ["n", "x"], "csv", {})
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("where", ["first", "before-mid", "mid", "last"])
+    def test_a_failing_row_leaves_no_file_and_no_child(self, where, out_format, forks, cpus,
+                                                       monkeypatch):
+        """A row of the parent's half fails while the child runs, which it
+        must kill and reap; a row of the child's half fails in the child,
+        and the parent renders those rows again and raises the same error."""
+        n = 2 * _ROW_BLOCK + 5
+        mid = 1 + (n - 1) // 2
+        bad = {"first": 1, "before-mid": mid - 1, "mid": mid, "last": n - 1}[where]
+
+        def text(value):
+            if value == bad:
+                raise ValueError(f"cannot render row {value}")
+            return str(value)
+
+        monkeypatch.setitem(_RENDER[out_format][0], int, text)
+        table = Table("t", n=np.arange(n), tag=[None, *range(1, n)])
+        cpus(2)
+        with pytest.raises(ValueError, match=f"cannot render row {bad}$"):
+            emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
+        assert len(forks) == 1
+        assert os.listdir() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads process states")
+    def test_the_child_stops_soon_after_its_caller_is_killed(self, tmp_path):
+        """A caller killed outright runs no cleanup; its child notices the
+        new parent after its current block.  Each cell here takes 0.1 ms, so
+        the child's half takes 30 blocks, over 12 s, but one block 0.4 s."""
+        script = """if True:
+            import os, time
+            from mgapprox import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            fork = os.fork
+
+            def announce():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            def slow(value):
+                end = time.perf_counter() + 1e-4
+                while time.perf_counter() < end:
+                    pass
+                return str(value)
+
+            os.fork = announce
+            cli._RENDER["csv"][0][int] = slow
+            n = 60 * cli._ROW_BLOCK
+            cli.emit_table(cli.Table("t", tag=[None, *range(1, n)]), out_format="csv",
+                           path="t.csv", metadata={})
+        """
+        proc = subprocess.Popen([sys.executable, "-c", script], cwd=tmp_path, text=True,
+                                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                                stdout=subprocess.PIPE)
+        try:
+            child = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+
+        def running():
+            try:
+                with open(f"/proc/{child}/stat") as fh:
+                    return fh.read().rpartition(")")[2].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not running()
+
+    def test_a_piped_run_prints_each_path_once(self, tmp_path):
+        """The child never flushes the stdio buffers it inherits nor returns
+        into main, so a piped, buffered stdout carries each path once."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(tmp_path)})
+        force_two_cpus = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                          "from mgapprox.cli import main; sys.exit(main())")
+        proc = subprocess.run(
+            [sys.executable, "-c", force_two_cpus, "inner", "--trunc", "9000"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        table = str(tmp_path / "inner_series.csv")
+        assert proc.stdout.splitlines() == [table, table + ".meta.json"]
+        assert proc.stderr.count("# wall_time_s=") == 1
+
+
 class TestRunsAndValues:
     def test_inner_values_match_library(self, capsys):
         assert run("inner", "--trunc", "5") == 0
@@ -460,7 +630,8 @@ class TestRunsAndValues:
         temporary), 8.0 MB at n = 200000; one block of three columns peaks at
         about 0.9 MB in emit_table (1.1 MB as JSON).  The bound is those
         arrays plus 2 MB.  Columns held as lists of Python floats and ints
-        took 25.8 MB."""
+        took 25.8 MB.  On a host with 2 CPUs a forked child renders the later
+        half of the table, and tracemalloc sees only this process's half."""
         trunc = 200_000
         bound = 5 * 8 * (trunc + 1) + 2_000_000
         tracemalloc.start()
