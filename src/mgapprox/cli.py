@@ -21,6 +21,7 @@ the metadata object directly.
 from __future__ import annotations
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -28,7 +29,7 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -708,7 +709,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main(), then the exit handlers, a stdio flush and
+    os._exit, which skips the interpreter's teardown of every object.  If
+    another thread is alive or a flush fails, sys.exit ends the run instead,
+    so the failure is reported as a normal exit reports it."""
+    status = main()
+    if threading.active_count() == 1:
+        atexit._run_exitfuncs()
+        with suppress(Exception):
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(status)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -133,12 +133,12 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
         partial[k + 1] = cur
-    coeffs = np.diff(partial, prepend=0.0)
+    partial[1:] = np.diff(partial)  # a_0 = A_0; differenced in place, no prepended copy
     if n == 0:
         tail = 1.0
     else:
         tail = min(1.0, 2.0 * math.sqrt(2.0 * a) / (math.pi * math.sqrt(n)))
-    return CoefficientSeries(coeffs, tail_mass_bound=tail, orthonormal_rows=True)
+    return CoefficientSeries(partial, tail_mass_bound=tail, orthonormal_rows=True)
 
 
 def singular_exponent_series(a: float, n: int) -> CoefficientSeries:

@@ -121,7 +121,8 @@ def cesaro_profile(s: CoefficientSeries) -> CesaroProfile:
     """Partial sums A_n = a_0 + .. + a_n and means M_n = (A_0 + .. + A_{n-1})/n."""
     partial = np.cumsum(s.coeffs)
     if s.order >= 1:
-        means = np.cumsum(partial)[: s.order] / np.arange(1.0, s.order + 1.0)
+        means = np.cumsum(partial[: s.order])
+        means /= np.arange(1.0, s.order + 1.0)
     else:
         means = np.empty(0)
     return CesaroProfile(partial, means)

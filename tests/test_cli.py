@@ -626,9 +626,10 @@ class TestRunsAndValues:
         """No whole column of Python objects: the peak is the arrays of the
         computation plus about one rendered block.  cesaro_profile peaks with
         five float64 arrays of n + 1 cells alive (the coefficients, the
-        recurrence's partial sums, the profile's partial sums, means and one
-        temporary), 8.0 MB at n = 200000; one block of three columns peaks at
-        about 0.9 MB in emit_table (1.1 MB as JSON).  The bound is those
+        profile's partial sums and means, and the copies CesaroProfile freezes
+        of both), 8.0 MB at n = 200000; singular_inner_coeffs, which
+        differences in place, peaks at two.  One block of three columns
+        peaks at about 0.9 MB in emit_table (1.1 MB as JSON).  The bound is those
         arrays plus 2 MB.  Columns held as lists of Python floats and ints
         took 25.8 MB.  On a host with 2 CPUs a forked child renders the later
         half of the table, and tracemalloc sees only this process's half."""
@@ -1002,6 +1003,99 @@ class TestCliSurface:
             capture_output=True, text=True, timeout=120,
         )
         assert (proc.returncode, proc.stdout, without_wall_time(proc.stderr)) == expected(case)
+
+
+# prelude lines for TestEntry: a kernel that raises, a late thread
+_RAISING_KERNEL = """if True:
+    from mgapprox import cli
+    def boom(level, k_max):
+        raise {}("forced for the exit check")
+    cli.dyadic_midpoint_report = boom
+"""
+_LATE_THREAD = """if True:
+    import threading, time
+    from mgapprox import cli
+    returned, original = threading.Event(), cli.main
+    def late():
+        returned.wait()
+        time.sleep(0.3)
+        print("thread ran")
+    def main():
+        try:
+            return original()
+        finally:
+            returned.set()
+    threading.Thread(target=late).start()
+    cli.main = main
+"""
+
+
+class TestEntry:
+    """The console script ends in os._exit after the exit handlers and a
+    stdio flush.  Each case runs in a subprocess with stdout piped and
+    PYTHONUNBUFFERED unset, so only a flush writes stdout; the oracle is the
+    same command ended by sys.exit(main()), a normal interpreter exit."""
+
+    ENTRY, ORACLE = "entry()", "sys.exit(main())"
+
+    @staticmethod
+    def outcome(out_dir, end, argv, prelude="", stdout=subprocess.PIPE):
+        """Status, stdout and stderr without its wall-time line."""
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(ROOT / "src"), **{OUT_DIR_ENV: str(out_dir)})
+        script = f"import sys\n{prelude}\nfrom mgapprox.cli import entry, main\n{end}\n"
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        return proc.returncode, proc.stdout, without_wall_time(proc.stderr)
+
+    @pytest.mark.parametrize("argv, prelude, status", [
+        (["inner", "--trunc", "5"], "", 0),
+        (["prop6"], _RAISING_KERNEL.format("RuntimeError"), 1),
+        (["prop2", "--depth", "9"], "", 2),
+        (["prop6"], _RAISING_KERNEL.format("cli.InvariantViolation"), 3),
+    ], ids=["ok", "error", "usage", "invariant"])
+    def test_each_status_matches_a_normal_exit(self, tmp_path, argv, prelude, status):
+        got = self.outcome(tmp_path, self.ENTRY, argv, prelude)
+        assert got[0] == status, got[2]
+        assert got == self.outcome(tmp_path, self.ORACLE, argv, prelude)
+
+    @pytest.mark.parametrize("prelude, last", [
+        ("import atexit; atexit.register(print, 'handler ran')", "handler ran"),
+        (_LATE_THREAD, "thread ran"),
+    ], ids=["atexit-handler", "live-thread"])
+    def test_output_after_main_is_kept_once(self, tmp_path, prelude, last):
+        """An exit handler's output, and a thread's that outlives main, come
+        once after the printed paths."""
+        table = str(tmp_path / "inner_series.csv")
+        got = self.outcome(tmp_path, self.ENTRY, ["inner", "--trunc", "5"], prelude)
+        assert got[:2] == (0, "\n".join([table, table + ".meta.json", last, ""])), got[2]
+        assert got == self.outcome(tmp_path, self.ORACLE, ["inner", "--trunc", "5"], prelude)
+
+    def test_a_closed_pipe_fails_as_a_normal_exit_does(self, tmp_path):
+        """The reader is gone before the flush: the flush fails, and the
+        normal exit reports the broken pipe and status 120."""
+        argv = ["inner", "--trunc", "5"]
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            got = self.outcome(tmp_path, self.ENTRY, argv, stdout=writer)
+            assert got == self.outcome(tmp_path, self.ORACLE, argv, stdout=writer)
+        finally:
+            os.close(writer)
+        assert got[0] == 120
+        assert "BrokenPipeError" in got[2]
+
+    def test_a_forked_table_prints_each_path_once(self, tmp_path):
+        """The forked child's exit flushes nothing inherited, and the
+        parent's flushes once; the files are the in-process run's bytes."""
+        force_two_cpus = "import os; os.sched_getaffinity = lambda pid: {0, 1}"
+        argv = ["inner", "--trunc", "9000"]
+        names = ["inner_series.csv", "inner_series.csv.meta.json"]
+        paths = "".join(f"{tmp_path / 'entry' / name}\n" for name in names)
+        assert self.outcome(tmp_path / "entry", self.ENTRY, argv, force_two_cpus) == (0, paths, "")
+        assert main(argv) == 0
+        for name in names:
+            assert read(tmp_path / "entry" / name) == read(name)
 
 
 def test_traced_run_counts_rows(tmp_path):
