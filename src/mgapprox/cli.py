@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import json
 import math
 import os
@@ -82,55 +83,76 @@ class UsageError(Exception):
 # configuration
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    toks = text.replace(",", " ").split()
-    if not toks:
-        raise UsageError("expected a nonempty integer list")
     try:
-        values = tuple(int(tok) for tok in toks)
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
     except ValueError as exc:
         raise UsageError(f"bad integer list {text!r}") from exc
-    if any(v < 1 for v in values):
-        raise UsageError("list entries must be >= 1")
-    return values
 
 
 def _parse_span(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise UsageError(f"bad range {text!r}, expected LO..HI")
+    lo, _, hi = text.partition("..")
     try:
-        bounds = (int(lo), int(hi))
+        return int(lo), int(hi)
     except ValueError as exc:
-        raise UsageError(f"bad range {text!r}") from exc
-    if bounds[0] > bounds[1]:
-        raise UsageError(f"empty range {text!r}")
-    return bounds
+        raise UsageError(f"bad range {text!r}, expected LO..HI") from exc
+
+
+def _is_floor_rule(text: str) -> bool:
+    """Whether text is invsqrtlog or power:<beta> with beta finite and > 0."""
+    if text.startswith("power:"):
+        with suppress(ValueError):
+            return 0 < float(text[6:]) < math.inf
+    return text == "invsqrtlog"
+
+
+def _at_least(lo: int) -> tuple:
+    """The domain of the integers n >= lo."""
+    return (lambda n: n >= lo), f">= {lo}"
+
+
+def _one_of(*values: str) -> tuple:
+    """The domain holding exactly the given strings."""
+    return values.__contains__, " or ".join(values)
+
+
+_FINITE_POSITIVE = (lambda x: 0 < x < math.inf, "finite and > 0")
+# Horizons reach the kernels as floats, which overflow near 1.8e308.
+_HORIZONS = (lambda ns: ns and 1 <= min(ns) and max(ns) <= 10**300,
+             "a nonempty list of entries in 1..10^300")
 
 
 @dataclass(frozen=True)
 class Opt:
-    """One configurable field: flag name, string converter, default."""
+    """One configurable field: flag name, string converter, default, help,
+    and domain: ``ok``, a predicate on the converted value, and ``accepts``,
+    what it accepts.  The domain is the one value check: _resolve runs it on
+    flag, config-file and default values alike, skipping None, and raises
+    UsageError for a value outside it; argparse never sees it."""
 
     name: str
     conv: Callable[[str], object]
     default: object
     help: str
+    ok: Callable[[object], bool] = lambda value: True
+    accepts: str = ""
 
 
 _COMMON = [
     Opt("seed", int, 0, "base seed for all random streams (default 0)"),
-    Opt("out", str, "csv", "output format, csv or json (default csv)"),
+    Opt("out", str, "csv", "output format, csv or json (default csv)", *_one_of("csv", "json")),
     Opt("out-path", str, None, "output stem; tables go to {stem}_{table}.{ext} "
         f"(default: subcommand name under ${OUT_DIR_ENV} or the cwd)"),
     Opt("config", str, None, "key=value file supplying defaults for any flag"),
 ]
 
 _SOURCE = [
-    Opt("kind", str, "singular", "coefficient source: singular or blaschke"),
-    Opt("a", float, 1.0, "positive mass of the singular measure at 1 (default 1)"),
-    Opt("rule", str, "dyadic", "Blaschke zero rule: dyadic or power"),
-    Opt("alpha", float, 2.0, "exponent for the power zero rule (default 2)"),
-    Opt("factors", int, 12, "number of Blaschke factors (default 12)"),
+    Opt("kind", str, "singular", "coefficient source: singular or blaschke",
+        *_one_of("singular", "blaschke")),
+    Opt("a", float, 1.0, "positive mass of the singular measure at 1 (default 1)",
+        *_FINITE_POSITIVE),
+    Opt("rule", str, "dyadic", "Blaschke zero rule: dyadic or power", *_one_of("dyadic", "power")),
+    Opt("alpha", float, 2.0, "exponent for the power zero rule (default 2)", *_FINITE_POSITIVE),
+    Opt("factors", int, 12, "number of Blaschke factors (default 12)", *_at_least(1)),
 ]
 
 _COMMANDS: dict[str, Callable[[dict], list[Table]]] = {}
@@ -165,7 +187,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over defaults."""
+    """Merge flags over config-file values over defaults, checking domains."""
     opts = {opt.name.replace("-", "_"): opt for opt in _COMMANDS[command].opts}
     flags = {key: getattr(args, key) for key in opts}
     file_cfg: dict[str, str] = {}
@@ -184,13 +206,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             try:
                 cfg[key] = opt.conv(file_cfg[key])
             except ValueError as exc:
-                raise UsageError(f"bad value for {key}: {file_cfg[key]!r}") from exc
+                raise UsageError(f"bad value for {opt.name}: {file_cfg[key]!r}") from exc
         else:
             cfg[key] = opt.default
-        if opt.conv is float and cfg[key] is not None and not math.isfinite(cfg[key]):
-            raise UsageError(f"{key} must be finite, got {cfg[key]!r}")
-    if cfg["out"] not in ("csv", "json"):
-        raise UsageError(f"out must be csv or json, got {cfg['out']!r}")
+        if cfg[key] is not None and not opt.ok(cfg[key]):
+            raise UsageError(f"{opt.name} must be {opt.accepts}, got {cfg[key]!r}")
     return cfg
 
 
@@ -485,26 +505,17 @@ def _fields(records: list, *names: str) -> dict[str, list]:
 
 
 def _build_series(cfg):
-    kind = cfg["kind"]
-    if kind == "singular":
-        if not cfg["a"] > 0:
-            raise UsageError("a must be positive")
+    if cfg["kind"] == "singular":
         return singular_inner_coeffs(cfg["a"], cfg["trunc"])
-    if kind == "blaschke":
-        return blaschke_product_coeffs(_blaschke_spec(cfg), cfg["trunc"])
-    raise UsageError(f"kind must be singular or blaschke, got {kind!r}")
+    if cfg["rule"] == "dyadic":
+        spec = BlaschkeSpec.dyadic(cfg["factors"])
+    else:
+        spec = BlaschkeSpec.power(cfg["alpha"], cfg["factors"])
+    return blaschke_product_coeffs(spec, cfg["trunc"])
 
 
-def _blaschke_spec(cfg) -> BlaschkeSpec:
-    rule = cfg["rule"]
-    if rule == "dyadic":
-        return BlaschkeSpec.dyadic(cfg["factors"])
-    if rule == "power":
-        return BlaschkeSpec.power(cfg["alpha"], cfg["factors"])
-    raise UsageError(f"rule must be dyadic or power, got {rule!r}")
-
-
-@_command("inner", *_SOURCE, Opt("trunc", int, 1000, "truncation order (default 1000)"))
+@_command("inner", *_SOURCE,
+          Opt("trunc", int, 1000, "truncation order (default 1000)", *_at_least(0)))
 def _cmd_inner(cfg) -> list[Table]:
     """inner-function coefficient table (n, a_n, A_n, M_n, main_term)"""
     series = _build_series(cfg)
@@ -524,7 +535,8 @@ def _cmd_inner(cfg) -> list[Table]:
     )]
 
 
-@_command("cesaro", *_SOURCE, Opt("trunc", int, 10000, "truncation order (default 10000)"))
+@_command("cesaro", *_SOURCE,
+          Opt("trunc", int, 10000, "truncation order (default 10000)", *_at_least(0)))
 def _cmd_cesaro(cfg) -> list[Table]:
     """partial sums and Cesaro means of a coefficient sequence"""
     series = _build_series(cfg)
@@ -537,10 +549,12 @@ def _cmd_cesaro(cfg) -> list[Table]:
     )]
 
 
-@_command("gap", *_SOURCE, Opt("trunc", int, 10000, "truncation order (default 10000)"),
+@_command("gap", *_SOURCE,
+          Opt("trunc", int, 10000, "truncation order (default 10000)", *_at_least(0)),
           Opt("horizons", _parse_int_list, (1, 10, 100, 1000, 10000),
-              "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)"),
-          Opt("c", float, None, "scalar to test; omitted means the minimizer"))
+              "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)", *_HORIZONS),
+          Opt("c", float, None, "scalar to test; omitted means the minimizer",
+              math.isfinite, "finite"))
 def _cmd_gap(cfg) -> list[Table]:
     """window-sum gap reports for scalar martingale approximants"""
     series = _build_series(cfg)
@@ -553,14 +567,15 @@ def _cmd_gap(cfg) -> list[Table]:
     ))]
 
 
-@_command("prop6", Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)"),
+@_command("prop6", Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)",
+                      lambda span: 1 <= span[0] <= span[1], "LO..HI with 1 <= LO <= HI"),
           Opt("k-max", int, 40, "zeros kept in the full product (default 40)"))
 def _cmd_prop6(cfg) -> list[Table]:
     """dyadic Blaschke midpoint bounds per level"""
     lo, hi = cfg["n_range"]
     k_max = cfg["k_max"]
-    if lo < 1 or hi + 1 > k_max:
-        raise UsageError("need 1 <= LO and HI + 1 <= k-max")
+    if hi + 1 > k_max:
+        raise UsageError("need HI + 1 <= k-max")
     spec = BlaschkeSpec.dyadic(k_max)
     levels = range(lo, hi + 1)
     reps = [dyadic_midpoint_report(level, k_max) for level in levels]
@@ -579,31 +594,23 @@ def _cmd_prop6(cfg) -> list[Table]:
 
 
 def _floor_rule(text: str):
-    if text == "invsqrtlog":
-        return inv_sqrt_log_rule()
-    head, sep, tail = text.partition(":")
-    if head == "power" and sep:
-        try:
-            return power_rule(float(tail))
-        except ValueError as exc:
-            raise UsageError(f"bad power exponent {tail!r}") from exc
-    raise UsageError(f"b-rule must be invsqrtlog or power:<beta>, got {text!r}")
+    return inv_sqrt_log_rule() if text == "invsqrtlog" else power_rule(float(text[6:]))
 
 
 _DECADES = tuple(10**j for j in range(7))
 
 
-@_command("prop3", Opt("K", int, 4, "number of synthesized levels (default 4)"),
-          Opt("b-rule", str, "invsqrtlog", "floor sequence: invsqrtlog or power:<beta>"),
-          Opt("samples", int, 10000, "encode/decode round trips (default 10000)"),
+@_command("prop3", Opt("K", int, 4, "number of synthesized levels (default 4)", *_at_least(2)),
+          Opt("b-rule", str, "invsqrtlog", "floor sequence: invsqrtlog or power:<beta>",
+              _is_floor_rule, "invsqrtlog or power:<beta> with beta finite and > 0"),
+          Opt("samples", int, 10000, "encode/decode round trips (default 10000)",
+              *_at_least(1)),
           Opt("search-cap", int, DEFAULT_SEARCH_CAP,
               f"horizon search cap (default {DEFAULT_SEARCH_CAP})"),
           Opt("horizons", _parse_int_list, None, "norm-table horizons (default: "
-              "powers of 10 merged with the synthesized horizons)"))
+              "powers of 10 merged with the synthesized horizons)", *_HORIZONS))
 def _cmd_prop3(cfg) -> list[Table]:
     """layered-process synthesis, residual norms, decode summary"""
-    if cfg["K"] < 2:
-        raise UsageError("K must be >= 2")
     rule = _floor_rule(cfg["b_rule"])
     params = synthesize_layer_params(rule, cfg["K"], cfg["search_cap"])
     columns = {key: getattr(params, key)
@@ -644,12 +651,11 @@ def _cmd_prop3(cfg) -> list[Table]:
     return tables
 
 
-@_command("prop2", Opt("depth", int, 3, "carrier depth, 1..6 (default 3)"))
+@_command("prop2", Opt("depth", int, 3, "carrier depth, 1..6 (default 3)",
+                      lambda depth: 1 <= depth <= 6, "in 1..6"))
 def _cmd_prop2(cfg) -> list[Table]:
     """exact filtration model: increment norms and digit decoding"""
     depth = cfg["depth"]
-    if not 1 <= depth <= 6:
-        raise UsageError("depth must lie in 1..6")
     model = ExactModel.build(depth)
     norms = martingale_difference_norms(model)
     total = hannan_sum(model, norms)
@@ -713,6 +719,10 @@ def entry() -> None:
     os._exit, which skips the interpreter's teardown of every object.  If
     another thread is alive or a flush fails, sys.exit ends the run instead,
     so the failure is reported as a normal exit reports it."""
+    # The imported modules live until the process ends: frozen, they are
+    # never traversed by a collection during main, and main starts with a
+    # full generation-0 allocation budget however much the imports allocated.
+    gc.freeze()
     status = main()
     if threading.active_count() == 1:
         atexit._run_exitfuncs()

@@ -226,14 +226,16 @@ def _zeros_below_one(
 ) -> np.ndarray:
     """The zeros ``zero(k)`` for k = 1..count, which increase with k; raises
     when one rounds to 1 or count exceeds _MAX_RULE_ZEROS, before building
-    the array.  The last zero is checked alone, and the first one at 1 is
-    found by bisection."""
+    the array.  The last zero, or the first past the ceiling when count
+    exceeds it, is checked alone, so no count too large for a float is
+    converted, and the first one at 1 is found by bisection."""
 
     def at_one(k: int) -> bool:
         return bool(zero(np.array([k], dtype=float))[0] >= 1.0)
 
-    if at_one(count):
-        lo, hi = 0, count  # zero(lo) < 1 <= zero(hi), with k = 0 a sentinel
+    last = min(count, _MAX_RULE_ZEROS + 1)
+    if at_one(last):
+        lo, hi = 0, last  # zero(lo) < 1 <= zero(hi), with k = 0 a sentinel
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if at_one(mid):
@@ -285,7 +287,8 @@ def blaschke_product_coeffs(spec: BlaschkeSpec, n: int) -> CoefficientSeries:
     Warns when the slowest factor is not resolved at order n (max z^n above
     1e-8).  Raises ValueError, before any allocation, when the work,
     factors x (n + 1) cascade steps plus 1000 steps per factor for its fixed
-    cost, exceeds 10^7 steps.
+    cost, exceeds 10^7 steps; an order above 10^7 alone exceeds it, and is
+    reported without converting the work to a float.
     """
     n = int(n)
     if n < 0:
@@ -293,7 +296,8 @@ def blaschke_product_coeffs(spec: BlaschkeSpec, n: int) -> CoefficientSeries:
     steps = spec.zeros.size * (n + 1)
     work = steps + spec.zeros.size * _FACTOR_STEPS
     if work > _MAX_PRODUCT_WORK:
-        raise ValueError(f"{spec.zeros.size} factors at order {n} need {work:.3g} steps "
+        need = f"{work:.3g}" if n <= _MAX_PRODUCT_WORK else f"over {_MAX_PRODUCT_WORK:.0e}"
+        raise ValueError(f"{spec.zeros.size} factors at order {n} need {need} steps "
                          f"({_FACTOR_STEPS} per factor plus one per factor and order); "
                          f"at most {_MAX_PRODUCT_WORK:.0e} are supported")
     zmax = float(np.max(spec.zeros))

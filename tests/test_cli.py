@@ -856,6 +856,45 @@ class TestExitStatus:
         assert run("inner", "--config", "run.cfg") == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("inner", "--alpha", "-1"), "alpha"),  # ignored by the singular kind, exit 0 before
+        (("inner", "--kind", "blaschke", "--rule", "power", "--alpha", "0"), "alpha"),
+        (("inner", "--trunc", "-1"), "trunc"),
+        (("inner", "--factors", "0"), "factors"),
+        (("inner", "--kind", "blaschke", "--a", "-1"), "a"),
+        (("cesaro", "--rule", "triadic"), "rule"),
+        (("prop3", "--samples", "0"), "samples"),
+        (("prop3", "--b-rule", "power:inf"), "b-rule"),
+        (("prop3", "--b-rule", "power:nan"), "b-rule"),
+        (("gap", "--horizons", str(10**400)), "horizons"),
+        (("prop3", "--horizons", f"1,{10**300 + 1}"), "horizons"),
+        (("prop6", "--n-range", "0..5"), "n-range"),
+    ])
+    def test_value_outside_its_domain(self, argv, flag, capsys):
+        assert run(*argv) == 2
+        err = without_wall_time(capsys.readouterr().err)
+        assert err.startswith(f"usage error: {flag} must be ") and err.count("\n") == 1
+        assert os.listdir() == []
+
+    def test_domain_checks_config_file_values(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("samples = 0\n")
+        assert run("prop3", "--config", "run.cfg") == 2
+        assert "usage error: samples must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("inner", "--kind", "blaschke", "--factors", str(10**400)), "dyadic zero k=54 rounds"),
+        (("prop6", "--k-max", str(10**400)), "dyadic zero k=54 rounds"),
+        (("inner", "--kind", "blaschke", "--trunc", str(10**400)), "need over 1e+07 steps"),
+        (("prop3", "--K", str(10**400)), "no admissible horizon at or below the search cap"),
+    ], ids=["factors", "k-max", "trunc", "K"])
+    def test_count_past_the_float_range_meets_its_limit(self, argv, message, capsys):
+        # each used to end in a raw OverflowError (int too large to convert to
+        # float), or, for K, numpy's "Maximum allowed dimension exceeded"
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error: ValueError: " in err and message in err
+        assert os.listdir() == []
+
     def test_search_cap_below_first_horizon(self, capsys):
         assert run("prop3", "--K", "2", "--search-cap", "0") == 1
         assert "search cap" in capsys.readouterr().err
@@ -950,6 +989,13 @@ class TestExitStatus:
         assert run(command, "--trunc", "10000001") == 1
         assert "truncation order 10000001 exceeds 1e+07" in capsys.readouterr().err
         assert os.listdir() == []
+
+    def test_sample_ceiling(self, capsys):
+        # 10^400 samples used to draw until the process was killed
+        for samples in (10**7 + 1, 10**400):
+            assert run("prop3", "--samples", str(samples)) == 1
+            assert f"{samples} samples exceed 1e+07" in capsys.readouterr().err
+            assert os.listdir() == []
 
     def test_singular_a_range(self, capsys):
         # exp(-746) is 0: the old recurrence wrote all-zero coefficients

@@ -1,0 +1,159 @@
+"""Property test over the CLI grammar: a subcommand and values drawn in and
+out of each option's domain, run through ``main`` in-process.
+
+The domains are written out here, independently of the ``Opt`` predicates,
+so a predicate that drifts from the documented domain fails the test.  Sizes
+stay under the work ceilings, so every example ends in a fraction of a
+second.
+"""
+
+import contextlib
+import io
+import os
+import tempfile
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mgapprox.cli import _COMMANDS, main
+
+
+def _floats(**bounds) -> st.SearchStrategy:
+    return st.floats(**bounds).map(repr)
+
+
+def _ints(lo: int, hi: int) -> st.SearchStrategy:
+    return st.integers(lo, hi).map(str)
+
+
+def _horizons(entries: st.SearchStrategy, **size) -> st.SearchStrategy:
+    return st.lists(entries, **size).map(lambda ns: ",".join(map(str, ns)))
+
+
+_POSITIVE = _floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NOT_POSITIVE = st.one_of(st.sampled_from(["0.0", "-0.0", "nan", "inf", "-inf"]),
+                          _floats(max_value=0.0))
+_HORIZON = st.one_of(st.integers(1, 10**4), st.just(10**300))
+_BAD_HORIZON = st.one_of(st.integers(-2, 0), st.sampled_from([10**300 + 1, 10**400]))
+
+# Every option a command takes but --out-path and --config: argument texts
+# inside its domain, and outside it (None when the option has no domain).
+_DOMAINS = {
+    "seed": (_ints(-5, 2**64), None),
+    "out": (st.sampled_from(["csv", "json"]), st.sampled_from(["xml", "CSV", ""])),
+    "kind": (st.sampled_from(["singular", "blaschke"]), st.sampled_from(["inner", ""])),
+    "a": (_POSITIVE, _NOT_POSITIVE),
+    "rule": (st.sampled_from(["dyadic", "power"]), st.sampled_from(["powers", ""])),
+    "alpha": (_POSITIVE, _NOT_POSITIVE),
+    "factors": (_ints(1, 60), _ints(-2, 0)),
+    "trunc": (_ints(0, 300), _ints(-3, -1)),
+    "horizons": (_horizons(_HORIZON, min_size=1, max_size=4),
+                 st.one_of(st.just(""), st.tuples(_horizons(_HORIZON, max_size=3), _BAD_HORIZON)
+                           .map(lambda pair: ",".join(filter(None, map(str, pair)))))),
+    "c": (_floats(allow_nan=False, allow_infinity=False), st.sampled_from(["nan", "inf", "-inf"])),
+    "n-range": (st.tuples(st.integers(1, 12), st.integers(0, 12)).map(
+                    lambda pair: f"{pair[0]}..{pair[0] + pair[1]}"),
+                st.one_of(st.integers(-2, 0).map(lambda lo: f"{lo}..5"),
+                          st.integers(2, 12).map(lambda lo: f"{lo}..{lo - 1}"))),
+    "k-max": (_ints(1, 60), None),
+    "K": (_ints(2, 8), _ints(-1, 1)),
+    "b-rule": (st.one_of(st.just("invsqrtlog"), _POSITIVE.map("power:".__add__)),
+               st.one_of(st.sampled_from(["power", "power:", "power:x", "invsqrtlog:", "log"]),
+                         _NOT_POSITIVE.map("power:".__add__))),
+    "samples": (_ints(1, 300), _ints(-2, 0)),
+    "search-cap": (_ints(0, 10**30), None),
+    "depth": (_ints(1, 6), st.sampled_from(["-1", "0", "7"])),
+}
+
+
+@st.composite
+def invocations(draw, command: str, refused: str | None):
+    """argv and config file text for command, and whether it must exit 2.
+
+    Each option is given or not, by flag or in the config file, with a
+    value inside its domain; the option named refused is given, with a
+    value outside it.  prop6 must also exit 2 when HI + 1 > k-max."""
+    argv, lines, values = [command], [], {}
+    for opt in _COMMANDS[command].opts:
+        if opt.name in ("out-path", "config") or opt.name != refused and not draw(st.booleans()):
+            continue
+        inside, outside = _DOMAINS[opt.name]
+        values[opt.name] = text = draw(outside if opt.name == refused else inside)
+        if draw(st.booleans()):
+            argv.append(f"--{opt.name}={text}")
+        else:
+            lines.append(f"{opt.name} = {text}")
+    if lines:
+        argv += ["--config", "run.cfg"]
+    usage = refused is not None
+    if command == "prop6" and not usage:
+        hi = int(values.get("n-range", "2..20").split("..")[1])
+        usage = hi + 1 > int(values.get("k-max", "40"))
+    return argv, "".join(line + "\n" for line in lines), usage
+
+
+def _run(argv: list[str], config: str) -> tuple[int, list[str], dict[str, bytes]]:
+    """Run main in a new temporary directory, warnings ignored: the status,
+    the stderr lines but the wall time, and every file left but the config."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            if config:
+                with open("run.cfg", "w", encoding="utf-8") as fh:
+                    fh.write(config)
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(action="ignore")):
+                status = main(argv)
+            files = {}
+            for name in sorted(set(os.listdir()) - {"run.cfg"}):
+                with open(name, "rb") as fh:
+                    files[name] = fh.read()
+        finally:
+            os.chdir(cwd)
+    lines = [line for line in err.getvalue().splitlines() if not line.startswith("# wall_time_s=")]
+    return status, lines, files
+
+
+_PREFIX = {1: "error: ", 2: "usage error: ", 3: "invariant violation: "}
+
+
+# Per command, one case with every value inside its domain and one per
+# option with a domain, that option's value outside it.
+_CASES = [(command, refused) for command in sorted(_COMMANDS)
+          for refused in [None] + [opt.name for opt in _COMMANDS[command].opts
+                                   if _DOMAINS.get(opt.name, (None, None))[1] is not None]]
+
+
+@pytest.mark.parametrize("command, refused", _CASES,
+                         ids=[f"{c}-{r or 'inside'}" for c, r in _CASES])
+@settings(deadline=None, max_examples=12)
+@given(data=st.data())
+def test_exit_status_follows_the_domains(command, refused, data):
+    argv, config, usage = data.draw(invocations(command, refused))
+    status, lines, files = _run(argv, config)
+    if usage:
+        assert status == 2, (argv, config, lines)
+    else:
+        assert status in (0, 1, 3), (argv, config, lines)
+    if status:
+        assert len(lines) == 1 and lines[0].startswith(_PREFIX[status]), lines
+        assert "Traceback" not in lines[0]
+        assert files == {}
+    else:
+        assert lines == [] and files
+        assert _run(argv, config) == (0, [], files)
+
+
+def test_every_option_has_values_drawn():
+    names = {opt.name for run in _COMMANDS.values() for opt in run.opts}
+    assert names - {"out-path", "config"} == set(_DOMAINS)
+
+
+def test_every_default_lies_in_its_domain():
+    for command, run in _COMMANDS.items():
+        for opt in run.opts:
+            assert opt.default is None or opt.ok(opt.default), (command, opt.name)

@@ -291,7 +291,7 @@ class TestBlaschkeSpec:
         assert build(first - 1).zeros[-1] < 1.0
         # 10^15 zeros would take 8 PB: the first one at 1 is found on scalars
         message = f"k={first} rounds to 1.0.* at most {first - 1} "
-        for count in (first, 10**15):
+        for count in (first, 10**15, 10**400):  # 10^400 overflows a float
             with pytest.raises(ValueError, match=message):
                 build(count)
 
@@ -299,9 +299,15 @@ class TestBlaschkeSpec:
         # power(0.01) keeps every zero below 1; the ceiling ends the request
         # before any array is built
         assert BlaschkeSpec.power(0.01, 10**6).zeros.size == 10**6
-        for count in (10**6 + 1, 10**15):
+        for count in (10**6 + 1, 10**15, 10**400):
             with pytest.raises(ValueError, match=f"asks for {count} zeros; at most 1000000 "):
                 BlaschkeSpec.power(0.01, count)
+
+    def test_count_past_the_ceiling_is_checked_at_the_ceiling(self):
+        # power(2) reaches 1.0 near k = 9.5e7, past the ceiling: the zero
+        # checked is k = 10^6 + 1, which lies below 1, so the ceiling reports
+        with pytest.raises(ValueError, match="power\\(2.0\\) asks for 100000000 zeros"):
+            BlaschkeSpec.power(2.0, 10**8)
 
 
 class TestBlaschkeProduct:
@@ -392,6 +398,11 @@ class TestBlaschkeProduct:
             blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 2303)
         with pytest.raises(ValueError, match="3 factors at order 101 "):
             blaschke_product_coeffs(BlaschkeSpec(np.full(3, 0.5)), 101)
+
+    def test_order_past_the_float_range_is_refused_by_its_ceiling(self):
+        # the work 10^400 + 1001 overflows a float, so it is not printed
+        with pytest.raises(ValueError, match=f"1 factors at order {10**400} need over 1e\\+07 "):
+            blaschke_product_coeffs(BlaschkeSpec(np.array([0.5])), 10**400)
 
     def test_per_factor_charge_does_not_move_the_tail_slack(self, monkeypatch):
         # the slack scales with cascade steps only, so raising the charge

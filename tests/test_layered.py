@@ -140,6 +140,9 @@ class TestSynthesis:
         # needs a horizon of about 1.0e19, which phi cannot store
         with pytest.raises(ValueError, match=r"level 87 .* limit 2\*\*63 - 1"):
             synthesize_layer_params(inv_sqrt_log_rule(), 90, search_cap=10**20)
+        # a level count no array could hold ends at the same level
+        with pytest.raises(ValueError, match=r"level 87 .* limit 2\*\*63 - 1"):
+            synthesize_layer_params(inv_sqrt_log_rule(), 10**400, search_cap=10**20)
         top = synthesize_layer_params(inv_sqrt_log_rule(), 86, search_cap=10**20).phi[-1]
         assert 2**62 < top < 2**63
 
@@ -423,6 +426,13 @@ class TestSimulateAndDecode:
     def test_sample_count_validation(self, layer_params_k4):
         with pytest.raises(ValueError):
             simulate_and_decode(layer_params_k4, 0)
+
+    def test_sample_ceiling_refuses_before_the_codec(self, monkeypatch, layer_params_k4):
+        # 10^400 samples used to draw until the process was killed
+        monkeypatch.setattr("mgapprox.layered_process.LayerCodec", None)
+        for samples in (10**7 + 1, 10**400):
+            with pytest.raises(ValueError, match=f"{samples} samples exceed 1e\\+07"):
+                simulate_and_decode(layer_params_k4, samples)
 
 
 @cache
