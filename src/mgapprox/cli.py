@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import importlib
 import json
 import math
 import os
@@ -30,6 +31,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
@@ -37,38 +39,48 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import DEFAULT_SEARCH_CAP, __version__
 from .errors import InvariantViolation
-from .exact_model import (
-    ExactModel,
-    decode_digit_value,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
-    decode_digit_values,
-    digit_value,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
-    digit_values,
-    hannan_sum,
-    martingale_difference_norms,
-    remote_past_projection,
-)
-from .inner import (
-    BlaschkeSpec,
-    blaschke_eval_radial,
-    blaschke_product_coeffs,
-    dyadic_midpoint_report,
-    newman_shapiro_main_term,
-    singular_inner_coeffs,
-)
-from .layered_process import (
-    DEFAULT_SEARCH_CAP,
-    decoding_table,  # noqa: F401 - not called here; perfbench/tracer.py wraps this name
-    inv_sqrt_log_rule,
-    power_rule,
-    residual_norm_sq_lagged,
-    residual_norm_sq_natural,
-    simulate_and_decode,
-    synthesize_layer_params,
-)
-from .linear_process import approximation_gap, best_scalar_gap
-from .series import cesaro_profile
+
+# The library names the commands call, by module.  Importing this module
+# loads none of these modules: _bind imports those a command uses (its
+# ``uses``) and binds their names here before the command runs, and any
+# other name is bound on first access as an attribute.  perfbench/tracer.py
+# replaces these names on this module, so a bound name is never rebound;
+# it also wraps digit_value, decode_digit_value and decoding_table, which
+# no command calls.
+_LIBRARY = {
+    "exact_model": ("ExactModel", "decode_digit_value", "decode_digit_values", "digit_value",
+                    "digit_values", "hannan_sum", "martingale_difference_norms",
+                    "remote_past_projection"),
+    "inner": ("BlaschkeSpec", "blaschke_eval_radial", "blaschke_product_coeffs",
+              "dyadic_midpoint_report", "newman_shapiro_main_term", "singular_inner_coeffs"),
+    "layered_process": ("decoding_table", "inv_sqrt_log_rule", "power_rule",
+                        "residual_norm_sq_lagged", "residual_norm_sq_natural",
+                        "simulate_and_decode", "synthesize_layer_params"),
+    "linear_process": ("approximation_gap", "best_scalar_gap"),
+    "series": ("cesaro_profile",),
+}
+_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(modules: tuple[str, ...]) -> None:
+    """Import the named library modules and bind the names of each that
+    _LIBRARY lists, leaving a name already bound (a patched one) as it is."""
+    names = globals()
+    for module_name in modules:
+        module = importlib.import_module(f".{module_name}", __package__)
+        for name in _LIBRARY[module_name]:
+            if name not in names:
+                names[name] = getattr(module, name)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind((_MODULE_OF[name],))
+    return globals()[name]
+
 
 __all__ = ["LeadingNone", "Table", "UsageError", "emit_table", "entry", "main"]
 
@@ -158,11 +170,13 @@ _SOURCE = [
 _COMMANDS: dict[str, Callable[[dict], list[Table]]] = {}
 
 
-def _command(name: str, *opts: Opt):
+def _command(name: str, *opts: Opt, uses: tuple[str, ...]):
     """Register the decorated table function as subcommand ``name``; its
-    docstring is the help line, and it takes the common options plus opts."""
+    docstring is the help line, it takes the common options plus opts, and
+    it calls the _LIBRARY names of the modules ``uses`` lists."""
     def register(run):
         run.opts = _COMMON + list(opts)
+        run.uses = uses
         _COMMANDS[name] = run
         return run
     return register
@@ -214,6 +228,18 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _named(argv: list[str]) -> str | None:
+    """The command argv names: its first word that is a command name."""
+    return next((arg for arg in argv if arg in _COMMANDS), None)
+
+
+def _bind_command(argv: list[str]) -> None:
+    """Bind the library names of the command argv names, if any."""
+    named = _named(argv)
+    if named is not None:
+        _bind(_COMMANDS[named].uses)
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv: every subcommand with its help line, and the
     options of the one argv names.
@@ -232,7 +258,7 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         description="martingale-approximation experiments with deterministic outputs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    named = _named(argv)
     for command, run in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__)
         if command == named:
@@ -515,7 +541,8 @@ def _build_series(cfg):
 
 
 @_command("inner", *_SOURCE,
-          Opt("trunc", int, 1000, "truncation order (default 1000)", *_at_least(0)))
+          Opt("trunc", int, 1000, "truncation order (default 1000)", *_at_least(0)),
+          uses=("inner", "series"))
 def _cmd_inner(cfg) -> list[Table]:
     """inner-function coefficient table (n, a_n, A_n, M_n, main_term)"""
     series = _build_series(cfg)
@@ -536,7 +563,8 @@ def _cmd_inner(cfg) -> list[Table]:
 
 
 @_command("cesaro", *_SOURCE,
-          Opt("trunc", int, 10000, "truncation order (default 10000)", *_at_least(0)))
+          Opt("trunc", int, 10000, "truncation order (default 10000)", *_at_least(0)),
+          uses=("inner", "series"))
 def _cmd_cesaro(cfg) -> list[Table]:
     """partial sums and Cesaro means of a coefficient sequence"""
     series = _build_series(cfg)
@@ -554,7 +582,8 @@ def _cmd_cesaro(cfg) -> list[Table]:
           Opt("horizons", _parse_int_list, (1, 10, 100, 1000, 10000),
               "window lengths, e.g. 1,10,100 (default 1,10,...,10^4)", *_HORIZONS),
           Opt("c", float, None, "scalar to test; omitted means the minimizer",
-              math.isfinite, "finite"))
+              math.isfinite, "finite"),
+          uses=("inner", "linear_process"))
 def _cmd_gap(cfg) -> list[Table]:
     """window-sum gap reports for scalar martingale approximants"""
     series = _build_series(cfg)
@@ -569,7 +598,8 @@ def _cmd_gap(cfg) -> list[Table]:
 
 @_command("prop6", Opt("n-range", _parse_span, (2, 20), "dyadic levels LO..HI (default 2..20)",
                       lambda span: 1 <= span[0] <= span[1], "LO..HI with 1 <= LO <= HI"),
-          Opt("k-max", int, 40, "zeros kept in the full product (default 40)"))
+          Opt("k-max", int, 40, "zeros kept in the full product (default 40)"),
+          uses=("inner",))
 def _cmd_prop6(cfg) -> list[Table]:
     """dyadic Blaschke midpoint bounds per level"""
     lo, hi = cfg["n_range"]
@@ -608,7 +638,8 @@ _DECADES = tuple(10**j for j in range(7))
           Opt("search-cap", int, DEFAULT_SEARCH_CAP,
               f"horizon search cap (default {DEFAULT_SEARCH_CAP})"),
           Opt("horizons", _parse_int_list, None, "norm-table horizons (default: "
-              "powers of 10 merged with the synthesized horizons)", *_HORIZONS))
+              "powers of 10 merged with the synthesized horizons)", *_HORIZONS),
+          uses=("layered_process",))
 def _cmd_prop3(cfg) -> list[Table]:
     """layered-process synthesis, residual norms, decode summary"""
     rule = _floor_rule(cfg["b_rule"])
@@ -652,7 +683,8 @@ def _cmd_prop3(cfg) -> list[Table]:
 
 
 @_command("prop2", Opt("depth", int, 3, "carrier depth, 1..6 (default 3)",
-                      lambda depth: 1 <= depth <= 6, "in 1..6"))
+                      lambda depth: 1 <= depth <= 6, "in 1..6"),
+          uses=("exact_model",))
 def _cmd_prop2(cfg) -> list[Table]:
     """exact filtration model: increment norms and digit decoding"""
     depth = cfg["depth"]
@@ -688,6 +720,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     try:
+        _bind_command(argv)
         try:
             args = _build_parser(argv).parse_args(argv)
         except SystemExit as exc:
@@ -714,11 +747,22 @@ def main(argv=None) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one stderr line, as main reports an error."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def entry() -> None:
     """The console script: main(), then the exit handlers, a stdio flush and
     os._exit, which skips the interpreter's teardown of every object.  If
     another thread is alive or a flush fails, sys.exit ends the run instead,
-    so the failure is reported as a normal exit reports it."""
+    so the failure is reported as a normal exit reports it.  Before main,
+    the named command's library modules are imported, so their cost falls
+    outside main's wall time, and warnings are set to print one line each."""
+    # A module that fails to import fails again in main, which reports it.
+    with suppress(Exception):
+        _bind_command(sys.argv[1:])
+    warnings.showwarning = _warning_line
     # The imported modules live until the process ends: frozen, they are
     # never traversed by a collection during main, and main starts with a
     # full generation-0 allocation budget however much the imports allocated.

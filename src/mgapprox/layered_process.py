@@ -45,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import DEFAULT_SEARCH_CAP
 from .errors import InvariantViolation
 from .rng import substream, substream_uniforms
 
@@ -72,7 +73,6 @@ __all__ = [
 # is reported.
 FIRE_LOG_FLOOR = -40.0
 
-DEFAULT_SEARCH_CAP = 10**6
 _INT64_MAX = 2**63 - 1  # largest horizon phi can store
 _DRAW_BLOCK = 2**12  # samples drawn and tallied per array pass
 

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgapprox import (
+    BlaschkeSpec,
     InvariantViolation,
+    blaschke_product_coeffs,
     cesaro_profile,
     dyadic_midpoint_report,
     hannan_sum,
@@ -1143,6 +1146,36 @@ class TestEntry:
         for name in names:
             assert read(tmp_path / "entry" / name) == read(name)
 
+    def test_a_library_warning_is_one_line(self, tmp_path):
+        """A library warning reaches the console as one line naming its
+        category; status, paths and files are a normal exit's."""
+        argv = ["inner", "--kind", "blaschke", "--trunc", "5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blaschke_product_coeffs(BlaschkeSpec.dyadic(12), 5)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        got = self.outcome(tmp_path, self.ENTRY, argv)
+        assert got[2].splitlines() == [f"warning: RuntimeWarning: {caught[0].message}"]
+        assert got[:2] == self.outcome(tmp_path, self.ORACLE, argv)[:2]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["inner", "--trunc", "5"], {"errors", "inner", "series"}),
+        (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}),
+        (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "rng", "series"}),
+        (["prop6"], {"errors", "inner", "series"}),
+        (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}),
+        (["prop2", "--depth", "2"], {"errors", "exact_model"}),
+        (["-h"], {"errors"}),
+    ], ids=["inner", "cesaro", "gap", "prop6", "prop3", "prop2", "help"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded):
+        """The library modules in sys.modules when the exit handlers run."""
+        prelude = ("import atexit; atexit.register(lambda: print(sorted("
+                   "m for m in sys.modules if m.startswith('mgapprox.'))))")
+        status, out, err = self.outcome(tmp_path, self.ENTRY, argv, prelude)
+        assert status == 0, err
+        last = out.splitlines()[-1]
+        assert last == str(sorted(f"mgapprox.{m}" for m in {"cli", *loaded}))
+
 
 def test_traced_run_counts_rows(tmp_path):
     """perfbench/tracer.py patches names on mgapprox.cli,
@@ -1164,6 +1197,13 @@ def test_traced_run_counts_rows(tmp_path):
         (("prop3", "--K", "4", "--samples", "50"), 4 + 11 + 1, "prop3_decode.csv", {},
          {"rng.substream": 0, "layered_process.LayerCodec.init": 1,
           "layered_process.encode": 4, "layered_process.decode": 4}),
+        # one product of 3 factors, 64 orders short of resolving 7/8, and
+        # a gap report per default horizon
+        (("gap", "--kind", "blaschke", "--rule", "dyadic", "--factors", "3", "--trunc", "64"),
+         5, "gap_gap.csv", {"inner.resolution_warnings": 1},
+         {"inner.blaschke_product_coeffs": 1, "linear_process.best_scalar_gap": 5}),
+        (("cesaro", "--trunc", "3"), 3, "cesaro_cesaro.csv", {},
+         {"inner.singular_inner_coeffs": 1, "series.cesaro_profile": 1}),
     ]
     for argv, rows, table, counts, calls in cases:
         spans = tmp_path / f"{table}_spans.json"
@@ -1180,6 +1220,23 @@ def test_traced_run_counts_rows(tmp_path):
         assert counts.items() <= summary["counts"].items()
         assert {name: summary["spans"].get(name, [0])[0] for name in calls} == calls
         assert (out / table).exists()
+
+
+def test_every_library_name_resolves_on_cli():
+    """In a fresh interpreter, each name of cli's library table is, as an
+    attribute of mgapprox.cli, the object of that name in its module: the
+    names the tracer wraps are found where it looks for them."""
+    script = """if True:
+        import importlib, mgapprox.cli as cli
+        print(sorted(name for module, names in cli._LIBRARY.items() for name in names
+                     if getattr(cli, name)
+                     is not getattr(importlib.import_module("mgapprox." + module), name)))
+    """
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_mpmath_out():
