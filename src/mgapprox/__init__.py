@@ -10,10 +10,10 @@ identities on an exhaustively enumerated finite model.
 The public names are those in each module's ``__all__``, re-exported here.
 Importing the package loads none of its modules (PEP 562): the first access
 to a public name, a library module, ``__all__`` or ``dir()`` imports all
-seven modules and binds their public names here, so ``import mgapprox.cli``
-compiles only the modules the command it runs calls.  ``__version__`` and
-``DEFAULT_SEARCH_CAP`` are defined here, so that the command line can echo
-them without loading a library module.
+seven modules and binds their public names here.  The command line
+imports only the modules of the command it runs.  ``__version__`` and
+``DEFAULT_SEARCH_CAP`` are defined here, so that it can echo them without
+loading a library module.
 """
 
 import importlib
