@@ -12,6 +12,12 @@ metadata, and rerunning with an identical configuration produces
 byte-identical files (wall time is reported on stderr only, never written
 into an output).
 
+A well-formed command line, a command name followed only by exact
+``--name value`` pairs of its options, is parsed by ``_quick_flags``
+without importing argparse.  argparse parses any other argv, and it alone
+writes help, usage and error text: -h, an abbreviated flag, ``--name=value``,
+a value starting with '-' and a malformed argv all go to it.
+
 Output layout: each table goes to {stem}_{table}.{format} where the stem
 defaults to the subcommand name inside $MGAPPROX_OUT_DIR (or the working
 directory).  CSV files carry a {file}.meta.json sidecar; JSON files embed
@@ -20,7 +26,6 @@ the metadata object directly.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import importlib
@@ -35,12 +40,15 @@ import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import DEFAULT_SEARCH_CAP, __version__
 from .errors import InvariantViolation
+
+if TYPE_CHECKING:
+    import argparse
 
 # The library names the commands call, by module.  Importing this module
 # loads none of these modules: _bind imports those a command uses (its
@@ -200,10 +208,10 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Merge flags over config-file values over defaults, checking domains."""
+def _resolve(command: str, flags: dict) -> dict:
+    """Merge flags, keyed by option dest with None when unset, over
+    config-file values over defaults, checking domains."""
     opts = {opt.name.replace("-", "_"): opt for opt in _COMMANDS[command].opts}
-    flags = {key: getattr(args, key) for key in opts}
     file_cfg: dict[str, str] = {}
     if flags["config"] is not None:
         file_cfg = _read_config_file(flags["config"])
@@ -240,31 +248,59 @@ def _bind_command(argv: list[str]) -> None:
         _bind(_COMMANDS[named].uses)
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: every subcommand with its help line, and the
-    options of the one argv names.
+def _quick_flags(argv: list[str]) -> dict | None:
+    """The flags argparse parses from argv, keyed by option dest, when argv
+    is a command name followed only by exact --name value pairs of that
+    command's options, no value starting with '-'; None for any other argv.
 
-    argparse parses only the subparser of the command it dispatches to, so
-    the others' options are never read, and adding them was most of the
-    time a light command spent parsing.  The top level takes no option but
-    -h, so the argument it dispatches on comes before any other command
-    name: if it is a command, it is the first command name in argv, and if
-    it is not, the top level fails before any subparser parses.  Help text,
-    usage lines and error messages are therefore the same as with every
-    subcommand's options added.
+    Values are converted in argv order, the last repeat winning, as
+    argparse converts them.  A converter's ValueError or TypeError also
+    gives None, so that argparse reports it; its UsageError propagates, as
+    it does through argparse.  Every option of the command is a key, None
+    when unset.
     """
+    run = _COMMANDS.get(argv[0]) if argv else None
+    if run is None or len(argv) % 2 == 0:
+        return None
+    opts = {f"--{opt.name}": opt for opt in run.opts}
+    pairs = list(zip(argv[1::2], argv[2::2]))
+    if any(flag not in opts or value.startswith("-") for flag, value in pairs):
+        return None
+    flags = dict.fromkeys(opt.name.replace("-", "_") for opt in run.opts)
+    try:
+        for flag, value in pairs:
+            flags[flag[2:].replace("-", "_")] = opts[flag].conv(value)
+    except (ValueError, TypeError):
+        return None
+    return flags
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every subcommand and its options: the source
+    of help, usage and error text, and the parser of any argv that
+    _quick_flags declines.  Only those runs import argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mgapprox",
         description="martingale-approximation experiments with deterministic outputs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = _named(argv)
     for command, run in _COMMANDS.items():
         p = sub.add_parser(command, help=run.__doc__)
-        if command == named:
-            for opt in run.opts:
-                p.add_argument(f"--{opt.name}", type=opt.conv, default=None, help=opt.help)
+        for opt in run.opts:
+            p.add_argument(f"--{opt.name}", type=opt.conv, default=None, help=opt.help)
     return parser
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command argv names and its flags: by _quick_flags when argv is
+    well formed, else by argparse, which exits on help and on errors."""
+    flags = _quick_flags(argv)
+    if flags is not None:
+        return argv[0], flags
+    flags = vars(_build_parser().parse_args(argv))
+    return flags.pop("command"), flags
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +753,24 @@ def _cmd_prop2(cfg) -> list[Table]:
 
 
 def main(argv=None) -> int:
+    """Run the command argv names (default sys.argv[1:]) and return its exit
+    status: 0 on success and after help, 1 for an error, 2 for a bad
+    command line or a usage error, 3 for an invariant violation.
+
+    The command's library names are bound, then argv is parsed by
+    _quick_flags, or by argparse when it declines, resolved and run, all
+    inside the wall time printed on stderr.
+    """
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     try:
         _bind_command(argv)
         try:
-            args = _build_parser(argv).parse_args(argv)
+            command, flags = _parse(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
-        cfg = _resolve(args.command, args)
-        tables = _COMMANDS[args.command](cfg)
+        cfg = _resolve(command, flags)
+        tables = _COMMANDS[command](cfg)
         metadata = _metadata(cfg)
         stem, ext = _stem(cfg), cfg["out"]
         for table in tables:

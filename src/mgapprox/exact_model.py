@@ -135,15 +135,13 @@ def martingale_difference_norms(model: ExactModel) -> dict[int, float]:
     The final key is zero only because the carrier family is truncated:
     the infinite construction would continue the 3^-(2k+2) pattern.
     """
-    k_lo = -2
-    k_hi = model.depth + 1
-    ce = {}
-    for k in range(k_lo, k_hi + 1):
-        ce[k] = conditional_expectation(model, model.observable, conditioning_up_to(model, k))
+    previous = conditional_expectation(model, model.observable, conditioning_up_to(model, -2))
     norms = {}
-    for k in range(k_lo, k_hi):
-        diff = ce[k + 1] - ce[k]
+    for k in range(-2, model.depth + 1):  # only E[obs | F_k] is kept for step k
+        current = conditional_expectation(model, model.observable, conditioning_up_to(model, k + 1))
+        diff = current - previous
         norms[k] = float(np.sqrt(np.mean(diff * diff)))
+        previous = current
     return norms
 
 

@@ -1023,8 +1023,8 @@ def expected(case: dict) -> tuple:
 
 class TestCliSurface:
     """Help text, usage errors and flag resolution, byte for byte as
-    cli_surface.json recorded them when the parser still added every
-    subcommand's options; the parser now adds only the named command's."""
+    cli_surface.json recorded them; argparse produces all of them, and a
+    well-formed argv never reaches it."""
 
     CASES = json.loads((Path(__file__).with_name("cli_surface.json")).read_text("utf-8"))
 
@@ -1158,23 +1158,33 @@ class TestEntry:
         assert got[2].splitlines() == [f"warning: RuntimeWarning: {caught[0].message}"]
         assert got[:2] == self.outcome(tmp_path, self.ORACLE, argv)[:2]
 
-    @pytest.mark.parametrize("argv, loaded", [
-        (["inner", "--trunc", "5"], {"errors", "inner", "series"}),
-        (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}),
-        (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "rng", "series"}),
-        (["prop6"], {"errors", "inner", "series"}),
-        (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}),
-        (["prop2", "--depth", "2"], {"errors", "exact_model"}),
-        (["-h"], {"errors"}),
-    ], ids=["inner", "cesaro", "gap", "prop6", "prop3", "prop2", "help"])
-    def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded):
-        """The library modules in sys.modules when the exit handlers run."""
-        prelude = ("import atexit; atexit.register(lambda: print(sorted("
-                   "m for m in sys.modules if m.startswith('mgapprox.'))))")
+    @pytest.mark.parametrize("argv, loaded, by_argparse", [
+        (["inner", "--trunc", "5"], {"errors", "inner", "series"}, False),
+        (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}, False),
+        (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "rng", "series"}, False),
+        (["gap", "--fac", "9", "--trunc", "50"],
+         {"errors", "inner", "linear_process", "rng", "series"}, True),
+        (["prop6"], {"errors", "inner", "series"}, False),
+        (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}, False),
+        (["prop2", "--depth", "2"], {"errors", "exact_model"}, False),
+        (["-h"], {"errors"}, True),
+    ], ids=["inner", "cesaro", "gap", "gap-abbreviated", "prop6", "prop3", "prop2", "help"])
+    def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded, by_argparse):
+        """The library modules in sys.modules when the exit handlers run, and
+        argparse with the gettext and locale it loads only for an argv that
+        is not well formed.  An abbreviated flag's table is the exact flag's."""
+        prelude = ("import atexit; atexit.register(lambda: print(sorted(m for m in sys.modules "
+                   "if m.startswith('mgapprox.') or m in ('argparse', 'gettext', 'locale'))))")
         status, out, err = self.outcome(tmp_path, self.ENTRY, argv, prelude)
         assert status == 0, err
+        parser = {"argparse", "gettext", "locale"} if by_argparse else set()
         last = out.splitlines()[-1]
-        assert last == str(sorted(f"mgapprox.{m}" for m in {"cli", *loaded}))
+        assert last == str(sorted({*parser, *(f"mgapprox.{m}" for m in {"cli", *loaded})}))
+        if "--fac" in argv:
+            exact = ["gap", "--factors", "9", "--trunc", "50"]
+            assert self.outcome(tmp_path / "exact", self.ENTRY, exact)[0] == 0
+            for name in ("gap_gap.csv", "gap_gap.csv.meta.json"):
+                assert read(tmp_path / name) == read(tmp_path / "exact" / name)
 
 
 def test_traced_run_counts_rows(tmp_path):

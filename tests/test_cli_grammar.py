@@ -1,10 +1,14 @@
-"""Property test over the CLI grammar: a subcommand and values drawn in and
-out of each option's domain, run through ``main`` in-process.
+"""Property tests over the CLI grammar.
 
-The domains are written out here, independently of the ``Opt`` predicates,
-so a predicate that drifts from the documented domain fails the test.  Sizes
-stay under the work ceilings, so every example ends in a fraction of a
-second.
+A subcommand and values drawn in and out of each option's domain run
+through ``main`` in-process.  The domains are written out here,
+independently of the ``Opt`` predicates, so a predicate that drifts from the
+documented domain fails the test.  Sizes stay under the work ceilings, so
+every example ends in a fraction of a second.
+
+argv drawn with exact, abbreviated, ``=`` and bare flags, stray words and
+values that start with '-' check ``_quick_flags`` against argparse, its
+oracle.
 """
 
 import contextlib
@@ -14,10 +18,10 @@ import tempfile
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgapprox.cli import _COMMANDS, main
+from mgapprox.cli import _COMMANDS, UsageError, _build_parser, _quick_flags, main
 
 
 def _floats(**bounds) -> st.SearchStrategy:
@@ -157,3 +161,110 @@ def test_every_default_lies_in_its_domain():
     for command, run in _COMMANDS.items():
         for opt in run.opts:
             assert opt.default is None or opt.ok(opt.default), (command, opt.name)
+
+
+# --- _quick_flags against argparse ------------------------------------------
+
+_NAMES = sorted({opt.name for run in _COMMANDS.values() for opt in run.opts})
+_PATHS = st.sampled_from(["run", "out/x", "a b", "cfg.txt", "a=b"])
+_DASHED = st.sampled_from(["-1", "-0.5", "-h", "--", "-", "--trunc", "-x"])
+_ODD = st.sampled_from(["", "x", "1.5", "1e3", "gap", "1,x", "1..x"])
+
+
+def _inside(name: str) -> st.SearchStrategy:
+    return _DOMAINS[name][0] if name in _DOMAINS else _PATHS
+
+
+def _value(name: str) -> st.SearchStrategy:
+    outside = _DOMAINS.get(name, (None, None))[1]
+    return st.one_of(_inside(name), *[outside] * (outside is not None), _DASHED, _ODD)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    """A command word, or now and then another word, and up to four items:
+    mostly an exact flag of any command and its value, else an abbreviated,
+    '=' or bare flag, or a stray word."""
+    argv = [draw(st.sampled_from(sorted(_COMMANDS) * 4 + ["-h", "bogus"]))]
+    own = [opt.name for opt in getattr(_COMMANDS.get(argv[0]), "opts", [])]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(st.sampled_from(own * 3 + _NAMES))
+        value = draw(_value(name))
+        form = draw(st.sampled_from(["pair"] * 6 + ["abbreviated", "equals", "bare", "word"]))
+        if form == "abbreviated" and len(name) > 1:
+            argv += [f"--{name[:draw(st.integers(1, len(name) - 1))]}", value]
+        elif form == "equals":
+            argv.append(f"--{name}={value}")
+        elif form == "bare":
+            argv.append(f"--{name}")
+        elif form == "word":
+            argv.append(value)
+        else:
+            argv += [f"--{name}", value]
+    return argv
+
+
+@st.composite
+def well_formed(draw) -> list[str]:
+    """A command and exact pairs of its options, each value inside the
+    option's domain or an odd word, and none starting with '-'."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for opt in draw(st.lists(st.sampled_from(_COMMANDS[command].opts), max_size=6)):
+        inside = _inside(opt.name).filter(lambda text: not text.startswith("-"))
+        argv += [f"--{opt.name}", draw(st.one_of(inside, _ODD))]
+    return argv
+
+
+def _texts(flags: dict) -> dict:
+    """flags with each value as its repr, so that NaN compares equal."""
+    return {key: repr(value) for key, value in flags.items()}
+
+
+def _argparse_outcome(argv: list[str]) -> tuple:
+    """("flags", parsed) or ("usage", message) from argparse, or ("exit", code)."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return "flags", _texts(vars(_build_parser().parse_args(argv)))
+    except SystemExit as exc:
+        return "exit", exc.code
+    except UsageError as exc:
+        return "usage", str(exc)
+
+
+def _quick_outcome(argv: list[str]) -> tuple | None:
+    """The same outcome from _quick_flags, or None where it defers."""
+    try:
+        flags = _quick_flags(argv)
+    except UsageError as exc:
+        return "usage", str(exc)
+    return None if flags is None else ("flags", _texts({**flags, "command": argv[0]}))
+
+
+def _is_well_formed(argv: list[str]) -> bool:
+    """A command followed only by exact --name value pairs of its options,
+    no value starting with '-'."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return False
+    flags = {f"--{opt.name}" for opt in _COMMANDS[argv[0]].opts}
+    return all(f in flags and not v.startswith("-") for f, v in zip(argv[1::2], argv[2::2]))
+
+
+@settings(deadline=None, max_examples=500)
+@given(argv=st.one_of(argvs(), well_formed()))
+@example(argv=["gap"])
+@example(argv=["gap", "--trunc", "5", "--trunc", "7"])
+@example(argv=["gap", "--horizons", "x"])
+@example(argv=["gap", "--out", "-h"])
+@example(argv=["gap", "--seed", "-1"])
+@example(argv=["prop3", "--s", "5"])
+@example(argv=["gap", "--fac", "9"])
+def test_quick_flags_agree_with_argparse(argv):
+    """_quick_flags returns argparse's flags or raises its UsageError, and
+    it defers on a well-formed argv only where argparse rejects a value its
+    converter refused."""
+    quick, slow = _quick_outcome(argv), _argparse_outcome(argv)
+    if quick is not None:
+        assert quick == slow, argv
+    elif _is_well_formed(argv):
+        assert slow == ("exit", 2), argv

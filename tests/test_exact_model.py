@@ -1,6 +1,7 @@
 """Exhaustive finite model: filtrations, increment norms, digit codec."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -245,6 +246,29 @@ class TestIncrementNorms:
         assert abs(value - (analytic_root_norm(depth) + 0.125)) <= 1e-12
         # the CLI passes the norms it already holds; the sum is the same float
         assert hannan_sum(model, martingale_difference_norms(model)) == value
+
+    @pytest.mark.parametrize("depth", [1, 3, 5])
+    def test_norms_match_every_expectation_held_at_once(self, depth):
+        """The streamed norms are the floats of the form that holds all
+        depth + 4 conditional expectations before differencing them."""
+        model = ExactModel.build(depth)
+        ce = {k: conditional_expectation(model, model.observable, conditioning_up_to(model, k))
+              for k in range(-2, depth + 2)}
+        held = {k: float(np.sqrt(np.mean((ce[k + 1] - ce[k]) ** 2))) for k in range(-2, depth + 1)}
+        assert martingale_difference_norms(model) == held
+
+    def test_norms_hold_two_expectations_at_a_time(self):
+        """At depth 6 one atom vector is 2^16 floats, 0.5 MB: the norms hold
+        the previous and current expectation, their difference and its
+        square, 2 MB.  Holding all 10 expectations peaked at 6 MB."""
+        model = ExactModel.build(6)
+        tracemalloc.start()
+        try:
+            martingale_difference_norms(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 class TestRemotePastProjection:
