@@ -16,7 +16,9 @@ A well-formed command line, a command name followed only by exact
 ``--name value`` pairs of its options, is parsed by ``_quick_flags``
 without importing argparse.  argparse parses any other argv, and it alone
 writes help, usage and error text: -h, an abbreviated flag, ``--name=value``,
-a value starting with '-' and a malformed argv all go to it.
+a value starting with '-' that is not a number and a malformed argv all go
+to it.  A number starting with '-' (``--c -1e5``) is a value on both paths:
+argparse gets it as ``--c=-1e5``, since it would take -1e5 for a flag.
 
 Output layout: each table goes to {stem}_{table}.{format} where the stem
 defaults to the subcommand name inside $MGAPPROX_OUT_DIR (or the working
@@ -248,10 +250,20 @@ def _bind_command(argv: list[str]) -> None:
         _bind(_COMMANDS[named].uses)
 
 
+def _is_number(text: str) -> bool:
+    """Whether float() parses text."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _quick_flags(argv: list[str]) -> dict | None:
     """The flags argparse parses from argv, keyed by option dest, when argv
     is a command name followed only by exact --name value pairs of that
-    command's options, no value starting with '-'; None for any other argv.
+    command's options, no value starting with '-' but a number; None for
+    any other argv.
 
     Values are converted in argv order, the last repeat winning, as
     argparse converts them.  A converter's ValueError or TypeError also
@@ -264,7 +276,8 @@ def _quick_flags(argv: list[str]) -> dict | None:
         return None
     opts = {f"--{opt.name}": opt for opt in run.opts}
     pairs = list(zip(argv[1::2], argv[2::2]))
-    if any(flag not in opts or value.startswith("-") for flag, value in pairs):
+    if any(flag not in opts or value.startswith("-") and not _is_number(value)
+           for flag, value in pairs):
         return None
     flags = dict.fromkeys(opt.name.replace("-", "_") for opt in run.opts)
     try:
@@ -293,13 +306,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """argv with each number that starts with '-' and follows a --name
+    word joined to it as --name=value: argparse takes such a word for a
+    flag unless it reads -N or -N.N."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--"
+                and arg.startswith("-") and _is_number(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _parse(argv: list[str]) -> tuple[str, dict]:
     """The command argv names and its flags: by _quick_flags when argv is
     well formed, else by argparse, which exits on help and on errors."""
     flags = _quick_flags(argv)
     if flags is not None:
         return argv[0], flags
-    flags = vars(_build_parser().parse_args(argv))
+    flags = vars(_build_parser().parse_args(_joined(argv)))
     return flags.pop("command"), flags
 
 
@@ -375,26 +402,40 @@ def _cells(column, lo: int, hi: int) -> list:
 
 
 def _write_chunks(path: str, chunks) -> None:
-    """Write chunks to path, text ones encoded and file ones copied by the
-    kernel, removing path if any chunk fails to render or write."""
-    fh = open(path, "w", encoding="utf-8", newline="")
+    """Write chunks to path, text ones encoded as UTF-8, bytes as they are
+    and file ones copied by the kernel, removing path if any chunk fails to
+    render or write.  No chunk is held while the next one renders."""
+    fh = open(path, "wb")
     try:
         with fh:
             for chunk in chunks:
                 if isinstance(chunk, str):
+                    chunk = chunk.encode()
+                if isinstance(chunk, (bytes, bytearray)):
                     fh.write(chunk)
-                    continue
-                fh.flush()
-                offset, size = 0, os.fstat(chunk.fileno()).st_size
-                while offset < size:
-                    offset += os.sendfile(fh.fileno(), chunk.fileno(), offset, size - offset)
+                else:
+                    fh.flush()
+                    offset, size = 0, os.fstat(chunk.fileno()).st_size
+                    while offset < size:
+                        offset += os.sendfile(fh.fileno(), chunk.fileno(), offset, size - offset)
+                del chunk
     except BaseException:
         os.remove(path)
         raise
 
 
-def _row_blocks(row: str, columns: list, start: int, stop: int):
-    """Rows start..stop of (column, cell texts or None) pairs, _ROW_BLOCK at a time."""
+def _row_blocks(row: str | tuple, columns: list, start: int, stop: int):
+    """Rows start..stop, _ROW_BLOCK at a time: under the row template, of
+    (column, cell texts or None) pairs, as text, or, where row is the tuple
+    of texts around a row's cells, of (array, row of its cell 0, %-spec)
+    triples, each block of each array rendered by _text at once, as bytes."""
+    if isinstance(row, tuple):
+        from . import _text
+
+        for lo in range(start, stop, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, stop)
+            yield _text.rows(row, [(values[lo - at:hi - at], spec) for values, at, spec in columns])
+        return
     for lo in range(start, stop, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, stop)
         blocks = [(_cells(c, lo, hi), t) for c, t in columns]
@@ -411,7 +452,7 @@ def _forks(n: int) -> bool:
 
 
 @contextmanager
-def _child_rows(row: str, columns: list, start: int, stop: int, directory: str):
+def _child_rows(row: str | tuple, columns: list, start: int, stop: int, directory: str):
     """Rows start..stop of _row_blocks, rendered by a forked child into an
     unlinked file in directory while the caller renders the rows before.
 
@@ -435,7 +476,7 @@ def _child_rows(row: str, columns: list, start: int, stop: int, directory: str):
                 for block in _row_blocks(row, columns, start, stop):
                     if os.getppid() != parent:  # the caller was killed: do not outlive it
                         os._exit(1)
-                    spool.write(block.encode())
+                    spool.write(block.encode() if isinstance(block, str) else block)
                 spool.flush()
                 status = 0
             finally:
@@ -473,12 +514,17 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     floats at 17 significant digits, None as the empty cell, booleans as
     true/false; metadata goes to a {path}.meta.json sidecar.  JSON: the
     object json.dumps(sort_keys=True, indent=2) makes of metadata, schema
-    and rows.  Both are byte-stable for fixed inputs.  Every row renders
-    through a row template, _ROW_BLOCK rows per %-operation and write,
-    arrays turned into Python values a block at a time: a column whose
-    cells are all of one type (an array's dtype, a LeadingNone's rest) takes
-    that type's %-spec, any other renders cell by cell.  Row 0 has its own
-    template, which gives LeadingNone columns the None spec.  A table of at
+    and rows.  Both are byte-stable for fixed inputs.  Rows render and are
+    written _ROW_BLOCK at a time.  A column whose cells are all of one type
+    (an array's dtype, a LeadingNone's rest) takes that type's %-spec, any
+    other renders cell by cell.  In a table of at least _ROW_BLOCK rows whose
+    columns are all integer or float64 arrays or LeadingNones of them, and
+    take their specs (a JSON float column holding NaN or inf does not), rows
+    1.. are numpy text blocks: _text turns each column's block into the texts
+    of its spec at once, taking the spec cell by cell only where it cannot
+    certify the digits.  Other rows render through a row template, arrays
+    turned into Python values a block at a time; row 0 has its own template,
+    which gives LeadingNone columns the None spec.  A table of at
     least 2 * _ROW_BLOCK rows, in a one-threaded process that may run on 2
     CPUs, is split at the row midpoint: a forked child renders the later
     half into an unlinked file beside path while this process renders the
@@ -490,7 +536,7 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
     cell_text, column_spec = _RENDER[out_format]
-    columns, firsts, specs = [], [], []
+    columns, firsts, specs, arrays = [], [], [], []
     for name, column in table.columns.items():
         values = getattr(column, "rest", column)
         if isinstance(values, np.ndarray):
@@ -509,10 +555,12 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
         columns.append((column, None if plain else cell_text))
         specs.append(spec if plain else "%s")
         firsts.append(column_spec[type(None)] if isinstance(column, LeadingNone) else specs[-1])
-    n, schema = len(table), list(table.columns)
+        arrays.append((values, int(isinstance(column, LeadingNone)), specs[-1]))
+    n, schema, gaps = len(table), list(table.columns), ["\0"] * len(specs)
     if out_format == "csv":
         sidecar = json.dumps(metadata, sort_keys=True, indent=2) + "\n"
-        head, first, row = (",".join(cells) + "\n" for cells in (schema, firsts, specs))
+        head, first, row, around = (",".join(cells) + "\n"
+                                    for cells in (schema, firsts, specs, gaps))
         tail = ""
     else:
         # keys in sorted order; a newline opens row 0 and a comma and newline each later row
@@ -520,13 +568,19 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
                        for v in (metadata, schema))
         head = f'{{\n  "metadata": {meta},\n  "rows": ['
         tail = "\n  " * bool(n) + f'],\n  "schema": {names}\n}}\n'
-        first, row = "\n" + _json_row(firsts), ",\n" + _json_row(specs)
+        first = "\n" + _json_row(firsts)
+        row, around = (",\n" + _json_row(cells) for cells in (specs, gaps))
+    rest = columns
+    if n >= _ROW_BLOCK and all(isinstance(a, np.ndarray) and s != "%s" for a, _, s in arrays):
+        from . import _text  # noqa: F401 - imported before the fork, so the child has it
+
+        row, rest = tuple(around.split("\0")), arrays
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     mid = 1 + (n - 1) // 2 if _forks(n) else n
-    with _child_rows(row, columns, mid, n, directory) as later:
+    with _child_rows(row, rest, mid, n, directory) as later:
         _write_chunks(path, chain([head], _row_blocks(first, columns, 0, min(n, 1)),
-                                  _row_blocks(row, columns, 1, mid), later, [tail]))
+                                  _row_blocks(row, rest, 1, mid), later, [tail]))
     if out_format == "csv":
         _write_chunks(path + ".meta.json", [sidecar])
         return [path, path + ".meta.json"]

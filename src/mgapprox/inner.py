@@ -23,7 +23,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvariantViolation
-from .series import CoefficientSeries
+from .series import CoefficientSeries, _Built
 # not called here; perfbench/tracer.py wraps this name in this module
 from .series import cauchy_product  # noqa: F401
 
@@ -138,7 +138,7 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
         tail = 1.0
     else:
         tail = min(1.0, 2.0 * math.sqrt(2.0 * a) / (math.pi * math.sqrt(n)))
-    return CoefficientSeries(partial, tail_mass_bound=tail, orthonormal_rows=True)
+    return CoefficientSeries(_Built(partial), tail_mass_bound=tail, orthonormal_rows=True)
 
 
 def singular_exponent_series(a: float, n: int) -> CoefficientSeries:

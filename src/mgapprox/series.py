@@ -24,8 +24,22 @@ __all__ = [
 ]
 
 
+class _Built:
+    """An array the library has just built and holds nowhere else.  Given
+    as a field of the types below, it is frozen in place; any other value
+    is copied, so that a caller's array never becomes read-only."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    if isinstance(values, _Built):
+        arr = np.asarray(values.array, dtype=float)
+    else:
+        arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional coefficient sequence")
     arr.setflags(write=False)
@@ -125,7 +139,7 @@ def cesaro_profile(s: CoefficientSeries) -> CesaroProfile:
         means /= np.arange(1.0, s.order + 1.0)
     else:
         means = np.empty(0)
-    return CesaroProfile(partial, means)
+    return CesaroProfile(_Built(partial), _Built(means))
 
 
 def autocorrelation(s: CoefficientSeries, k: int) -> float:

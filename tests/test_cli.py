@@ -29,8 +29,10 @@ from mgapprox import (
     cesaro_profile,
     dyadic_midpoint_report,
     hannan_sum,
+    newman_shapiro_main_term,
     singular_inner_coeffs,
 )
+from mgapprox import _text
 from mgapprox.cli import (
     _RENDER,
     _ROW_BLOCK,
@@ -259,41 +261,61 @@ class TestEmitTable:
             assert read(f"a.{out_format}") == reference_bytes(rows, schema, out_format, {})
 
     @pytest.mark.parametrize("n", [1, 2, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1])
-    def test_special_array_cells_match_the_oracle(self, n):
-        """Every special value in every block, not left to the draw."""
-        floats = np.resize(np.array(SPECIAL_FLOATS + [-1.5]), n)
-        ints = np.resize(np.array([INT64.min, INT64.max, 0, -1]), n)
-        columns = [floats, ints, np.resize([True, False], n), np.resize([-0.0, 0.25], n),
-                   LeadingNone(floats[::-1][1:])]
-        schema = [f"c{j}" for j in range(len(columns))]
-        rows = list(zip(*map(listed, columns)))
+    @pytest.mark.parametrize("bools", [True, False], ids=["bools", "no-bools"])
+    def test_special_array_cells_match_the_oracle(self, n, bools, monkeypatch):
+        """Every special value in every block, not left to the draw.  Without
+        the bool column, a table of at least _ROW_BLOCK rows renders as text
+        blocks, in JSON once its floats are finite."""
+        blocks = []
+        cells = _text.cells
+        monkeypatch.setattr(_text, "cells", lambda *a: blocks.append(a) or cells(*a))
+        floats = np.resize(np.array(SPECIAL_FLOATS + [-1.5, 2.0**-25]), n)
+        ints = np.resize(np.array([INT64.min, INT64.max, 0, -1, 10**12, 10**12 - 1]), n)
         for out_format in ("csv", "json"):
+            if out_format == "json" and not bools:
+                floats = np.where(np.isfinite(floats), floats, 0.1)
+            columns = [floats, ints, *[np.resize([True, False], n)] * bools,
+                       np.resize([-0.0, 0.25], n), LeadingNone(floats[::-1][1:])]
+            schema = [f"c{j}" for j in range(len(columns))]
+            rows = list(zip(*map(listed, columns)))
+            blocks.clear()
             emit_table(Table("t", **dict(zip(schema, columns))), out_format=out_format,
                        path=f"a.{out_format}", metadata={})
             assert read(f"a.{out_format}") == reference_bytes(rows, schema, out_format, {})
+            assert bool(blocks) == (not bools and n >= _ROW_BLOCK)
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
-    def test_array_blocks_become_python_values_one_block_at_a_time(self, out_format):
-        """Each array slice handed to tolist() spans at most one block.  The
-        sizes go to a file opened for appending, one line per call, so the
-        forked child that renders the later half records its calls too."""
-        log = os.open("sizes.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        tolist = np.ndarray.tolist
+    def test_array_blocks_reach_the_text_renderer_one_block_at_a_time(
+            self, out_format, monkeypatch):
+        """Each array slice handed to _text.cells spans at most one block,
+        and every row but row 0, which takes the template, is rendered once.
+        The cells of each call go to a file opened for appending, one line
+        per call, so the forked child that renders the later half records
+        its calls too; the process is told it has 2 CPUs, so it forks."""
+        log = os.open("cells.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        cells = _text.cells
 
-        class Spy(np.ndarray):
-            def tolist(self):
-                os.write(log, f"{self.size}\n".encode())
-                return tolist(self)
+        def spy(values, spec):
+            os.write(log, f"{spec} {' '.join(map(repr, values.tolist()))}\n".encode())
+            return cells(values, spec)
 
+        monkeypatch.setattr(_text, "cells", spy)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         n = 2 * _ROW_BLOCK + 3
-        table = Table("t", n=np.arange(n).view(Spy), x=LeadingNone(np.ones(n - 1).view(Spy)))
+        table = Table("t", n=np.arange(n), x=LeadingNone(np.arange(1.0, n)))
         try:
             emit_table(table, out_format=out_format, path=f"t.{out_format}", metadata={})
         finally:
             os.close(log)
-        sizes = [int(line) for line in read("sizes.log").split()]
-        assert sizes and max(sizes) <= _ROW_BLOCK
-        assert sum(sizes) == 2 * n - 1  # every row once, but x's row 0
+        calls = [line.split() for line in read("cells.log").decode().splitlines()]
+        assert max(len(call) - 1 for call in calls) <= _ROW_BLOCK
+        rendered = {spec: sorted(float(cell) for s, *cells in calls if s == spec for cell in cells)
+                    for spec in {call[0] for call in calls}}
+        assert rendered == {"%d": list(range(1, n)),
+                            {"csv": "%.17g", "json": "%r"}[out_format]: list(range(1, n))}
+        rows = list(zip(range(n), [None, *range(1, n)]))
+        assert read(f"t.{out_format}") == reference_bytes(
+            [(i, None if x is None else float(x)) for i, x in rows], ["n", "x"], out_format, {})
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_row_zero_takes_the_template(self, out_format, monkeypatch):
@@ -429,6 +451,111 @@ class TestEmitTable:
     def test_unknown_format_rejected(self):
         with pytest.raises(UsageError):
             emit_table(Table("t", a=[]), out_format="xml", path="t.xml", metadata={})
+
+
+def exact_ties() -> list[float]:
+    """Binary fractions m / 2**j whose exact decimal has 18 significant
+    digits, the last a 5: each lies exactly halfway between two 17-digit
+    roundings.  2**-25 = 2.98023223876953125e-08 is one."""
+    import decimal
+
+    ties = []
+    for j in range(20, 80):
+        for m in range(1, 64, 2):
+            digits = decimal.Decimal(m / 2**j).as_tuple().digits
+            if len(digits) == 18 and digits[-1] == 5:
+                ties.append(m / 2**j)
+    return ties
+
+
+def near_bounds() -> list[float]:
+    """Every power of ten the fast path spans and its neighbours, which
+    scale to either end of [1e16, 1e17), and the ends of that span."""
+    tens = 10.0 ** np.arange(-29, 18)
+    ulps = np.arange(-3, 4)[:, None]
+    near = [np.nextafter(tens, tens * 2.0 ** np.sign(ulp)) if ulp else tens for ulp in ulps]
+    for _ in range(2):  # two more ulps each way
+        near += [np.nextafter(near[0], 0.0), np.nextafter(near[-1], np.inf)]
+    return np.concatenate(near).tolist() + [1e-28, 1.0000000000000001e-28, 9.999999999999999e-29,
+                                            99999999999999984.0, 1e17, 1e16]
+
+
+# Values the fast path must certify or hand to the per-cell text, each
+# with its negation in the tests below.
+FIXED_FLOATS = {
+    "ties": exact_ties() + [2.0**-25, 3 * 2.0**-40],
+    "powers of two": (2.0 ** np.arange(-1074, 1024, 7)).tolist() + [2.0**-25, 2.0**-40],
+    "near bounds": near_bounds(),
+    "special": [0.0, math.nan, math.inf, 5e-324, 2.2250738585072009e-308,
+                2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.3, 1e-5, 1e-7,
+                0.5, 1.5, 123456789012345678.0, 1234567890123456.7, 9007199254740993.0],
+    "short decimals": [d / 10.0**p for d in (1, 5, 25, 125, 999, 12345) for p in range(-17, 29)],
+}
+TEXT_SPECS = ["%.17g", "%r"]
+
+
+def text_of(block: np.ndarray) -> list[str]:
+    """The cell texts of a _text.cells matrix."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in block]
+
+
+class TestText:
+    """_text renders array blocks; its oracle is spec % v, cell by cell."""
+
+    @pytest.mark.parametrize("spec", TEXT_SPECS)
+    @pytest.mark.parametrize("kind", sorted(FIXED_FLOATS))
+    def test_fixed_floats_match_the_per_cell_text(self, kind, spec):
+        values = np.array(FIXED_FLOATS[kind])
+        values = np.concatenate([values, -values])
+        assert text_of(_text.cells(values, spec)) == [spec % v for v in values.tolist()]
+
+    @settings(deadline=None, max_examples=60)
+    @given(cells=st.lists(st.floats(), min_size=1, max_size=64), spec=st.sampled_from(TEXT_SPECS))
+    def test_drawn_floats_match_the_per_cell_text(self, cells, spec):
+        values = np.array(cells)
+        assert text_of(_text.cells(values, spec)) == [spec % v for v in values.tolist()]
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1), spec=st.sampled_from(TEXT_SPECS))
+    def test_random_bit_patterns_match_the_per_cell_text(self, seed, spec):
+        """Every finite double is as likely as any other, and scaled normals
+        cover the fast span densely."""
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 512, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(512) * 10.0 ** rng.integers(-30, 19, 512),
+        ])
+        assert text_of(_text.cells(values, spec)) == [spec % v for v in values.tolist()]
+
+    @settings(deadline=None, max_examples=60)
+    @given(cells=st.lists(st.integers(INT64.min, INT64.max), min_size=1, max_size=64),
+           dtype=st.sampled_from(["int64", "uint8", "int32", "uint64"]))
+    @example(cells=[0, 1, 9, 10, 10**12 - 1, 10**12, -1, INT64.min, INT64.max], dtype="int64")
+    def test_integers_match_the_per_cell_text(self, cells, dtype):
+        info = np.iinfo(dtype)
+        values = np.array([min(max(cell, info.min), info.max) for cell in cells], dtype=dtype)
+        assert text_of(_text.cells(values, "%d")) == ["%d" % v for v in values.tolist()]
+
+    def test_rows_put_the_pieces_around_the_cells(self):
+        blocks = [(np.arange(3), "%d"), (np.array([0.5, -1e-7, 2.0]), "%r")]
+        text = _text.rows(("[", ", ", "]\n"), blocks)
+        assert text == b"[0, 0.5]\n[1, -1e-07]\n[2, 2.0]\n"
+
+    def test_powers_of_ten_are_exact_double_doubles(self):
+        for k in range(45):
+            assert int(_text._HI[k]) + int(_text._LO[k]) == 10**k
+
+    @pytest.mark.parametrize("spec", TEXT_SPECS)
+    def test_every_inner_table_float_takes_the_fast_path(self, spec):
+        """inner --kind singular --a 1 --trunc 30000 has exact zeros
+        (a_2 = 0, M_2 = 0) and nothing outside the fast span."""
+        trunc = 30000
+        series = singular_inner_coeffs(1.0, trunc)
+        profile = cesaro_profile(series)
+        main_term = newman_shapiro_main_term(1.0, np.arange(1, trunc + 1))
+        for column in (series.coeffs, profile.partial_sums, profile.cesaro_means, main_term):
+            fast = _text._float_texts(column, spec == "%r")[1]
+            assert fast.all(), column[~fast][:5]
 
 
 class TestForkedHalf:
@@ -628,16 +755,18 @@ class TestRunsAndValues:
     def test_cesaro_holds_its_arrays_and_one_block(self, capsys):
         """No whole column of Python objects: the peak is the arrays of the
         computation plus about one rendered block.  cesaro_profile peaks with
-        five float64 arrays of n + 1 cells alive (the coefficients, the
-        profile's partial sums and means, and the copies CesaroProfile freezes
-        of both), 8.0 MB at n = 200000; singular_inner_coeffs, which
-        differences in place, peaks at two.  One block of three columns
-        peaks at about 0.9 MB in emit_table (1.1 MB as JSON).  The bound is those
-        arrays plus 2 MB.  Columns held as lists of Python floats and ints
-        took 25.8 MB.  On a host with 2 CPUs a forked child renders the later
-        half of the table, and tracemalloc sees only this process's half."""
+        four float64 arrays of n + 1 cells alive (the coefficients, the
+        partial sums, the means and the divisors of the means), 6.4 MB at
+        n = 200000, since CesaroProfile freezes the two it is handed instead
+        of copying them (five arrays, 8.0 MB, when it copied);
+        singular_inner_coeffs, which differences in place, peaks at two.
+        emit_table's text blocks of three columns peak at about 1.2 MB (1.6 MB
+        as JSON).  The bound is those four arrays plus 2 MB.  Columns held as
+        lists of Python floats and ints took 25.8 MB.  On a host with 2 CPUs a
+        forked child renders the later half of the table, and tracemalloc
+        sees only this process's half."""
         trunc = 200_000
-        bound = 5 * 8 * (trunc + 1) + 2_000_000
+        bound = 4 * 8 * (trunc + 1) + 2_000_000
         tracemalloc.start()
         try:
             assert run("cesaro", "--trunc", str(trunc)) == 0
@@ -1160,6 +1289,7 @@ class TestEntry:
 
     @pytest.mark.parametrize("argv, loaded, by_argparse", [
         (["inner", "--trunc", "5"], {"errors", "inner", "series"}, False),
+        (["inner", "--trunc", str(_ROW_BLOCK)], {"_text", "errors", "inner", "series"}, False),
         (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}, False),
         (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "rng", "series"}, False),
         (["gap", "--fac", "9", "--trunc", "50"],
@@ -1168,11 +1298,14 @@ class TestEntry:
         (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}, False),
         (["prop2", "--depth", "2"], {"errors", "exact_model"}, False),
         (["-h"], {"errors"}, True),
-    ], ids=["inner", "cesaro", "gap", "gap-abbreviated", "prop6", "prop3", "prop2", "help"])
+    ], ids=["inner", "inner-text-blocks", "cesaro", "gap", "gap-abbreviated", "prop6", "prop3",
+            "prop2", "help"])
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded, by_argparse):
         """The library modules in sys.modules when the exit handlers run, and
         argparse with the gettext and locale it loads only for an argv that
-        is not well formed.  An abbreviated flag's table is the exact flag's."""
+        is not well formed.  An abbreviated flag's table is the exact flag's.
+        Only a table of at least _ROW_BLOCK rows of array columns loads
+        _text, so gap, prop2 and prop3 never do."""
         prelude = ("import atexit; atexit.register(lambda: print(sorted(m for m in sys.modules "
                    "if m.startswith('mgapprox.') or m in ('argparse', 'gettext', 'locale'))))")
         status, out, err = self.outcome(tmp_path, self.ENTRY, argv, prelude)

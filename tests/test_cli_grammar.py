@@ -8,10 +8,12 @@ every example ends in a fraction of a second.
 
 argv drawn with exact, abbreviated, ``=`` and bare flags, stray words and
 values that start with '-' check ``_quick_flags`` against argparse, its
-oracle.
+oracle, which reads a number starting with '-' in the ``--name=value``
+spelling that ``_parse`` hands it.
 """
 
 import contextlib
+import functools
 import io
 import os
 import tempfile
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgapprox.cli import _COMMANDS, UsageError, _build_parser, _quick_flags, main
+from mgapprox.cli import _COMMANDS, UsageError, _build_parser, _joined, _quick_flags, main
 
 
 def _floats(**bounds) -> st.SearchStrategy:
@@ -30,6 +32,21 @@ def _floats(**bounds) -> st.SearchStrategy:
 
 def _ints(lo: int, hi: int) -> st.SearchStrategy:
     return st.integers(lo, hi).map(str)
+
+
+def _number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _spaced(text: str) -> bool:
+    """Whether a value can follow its flag as the next word: argparse and
+    _quick_flags read a word starting with '-' as a value only when it is
+    a number."""
+    return not text.startswith("-") or _number(text)
 
 
 def _horizons(entries: st.SearchStrategy, **size) -> st.SearchStrategy:
@@ -76,16 +93,20 @@ _DOMAINS = {
 def invocations(draw, command: str, refused: str | None):
     """argv and config file text for command, and whether it must exit 2.
 
-    Each option is given or not, by flag or in the config file, with a
-    value inside its domain; the option named refused is given, with a
-    value outside it.  prop6 must also exit 2 when HI + 1 > k-max."""
+    Each option is given or not, by flag (as --name=value or, where the
+    value may follow as the next word, --name value) or in the config file,
+    with a value inside its domain; the option named refused is given, with
+    a value outside it.  prop6 must also exit 2 when HI + 1 > k-max."""
     argv, lines, values = [command], [], {}
     for opt in _COMMANDS[command].opts:
         if opt.name in ("out-path", "config") or opt.name != refused and not draw(st.booleans()):
             continue
         inside, outside = _DOMAINS[opt.name]
         values[opt.name] = text = draw(outside if opt.name == refused else inside)
-        if draw(st.booleans()):
+        spelling = draw(st.sampled_from(["equals", "spaced", "config"]))
+        if spelling == "spaced" and _spaced(text):
+            argv += [f"--{opt.name}", text]
+        elif spelling != "config":
             argv.append(f"--{opt.name}={text}")
         else:
             lines.append(f"{opt.name} = {text}")
@@ -167,7 +188,8 @@ def test_every_default_lies_in_its_domain():
 
 _NAMES = sorted({opt.name for run in _COMMANDS.values() for opt in run.opts})
 _PATHS = st.sampled_from(["run", "out/x", "a b", "cfg.txt", "a=b"])
-_DASHED = st.sampled_from(["-1", "-0.5", "-h", "--", "-", "--trunc", "-x"])
+_DASHED = st.sampled_from(["-1", "-0.5", "-1e5", "-1.5e-3", "-inf", "-h", "--", "-",
+                           "--trunc", "-x"])
 _ODD = st.sampled_from(["", "x", "1.5", "1e3", "gap", "1,x", "1..x"])
 
 
@@ -207,11 +229,11 @@ def argvs(draw) -> list[str]:
 @st.composite
 def well_formed(draw) -> list[str]:
     """A command and exact pairs of its options, each value inside the
-    option's domain or an odd word, and none starting with '-'."""
+    option's domain or an odd word, and none starting with '-' but numbers."""
     command = draw(st.sampled_from(sorted(_COMMANDS)))
     argv = [command]
     for opt in draw(st.lists(st.sampled_from(_COMMANDS[command].opts), max_size=6)):
-        inside = _inside(opt.name).filter(lambda text: not text.startswith("-"))
+        inside = _inside(opt.name).filter(_spaced)
         argv += [f"--{opt.name}", draw(st.one_of(inside, _ODD))]
     return argv
 
@@ -221,11 +243,15 @@ def _texts(flags: dict) -> dict:
     return {key: repr(value) for key, value in flags.items()}
 
 
+# one parser for every example: parse_args leaves it as it was
+_parser = functools.cache(_build_parser)
+
+
 def _argparse_outcome(argv: list[str]) -> tuple:
     """("flags", parsed) or ("usage", message) from argparse, or ("exit", code)."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return "flags", _texts(vars(_build_parser().parse_args(argv)))
+            return "flags", _texts(vars(_parser().parse_args(argv)))
     except SystemExit as exc:
         return "exit", exc.code
     except UsageError as exc:
@@ -243,11 +269,11 @@ def _quick_outcome(argv: list[str]) -> tuple | None:
 
 def _is_well_formed(argv: list[str]) -> bool:
     """A command followed only by exact --name value pairs of its options,
-    no value starting with '-'."""
+    no value starting with '-' but numbers."""
     if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
         return False
     flags = {f"--{opt.name}" for opt in _COMMANDS[argv[0]].opts}
-    return all(f in flags and not v.startswith("-") for f, v in zip(argv[1::2], argv[2::2]))
+    return all(f in flags and _spaced(v) for f, v in zip(argv[1::2], argv[2::2]))
 
 
 @settings(deadline=None, max_examples=500)
@@ -259,12 +285,37 @@ def _is_well_formed(argv: list[str]) -> bool:
 @example(argv=["gap", "--seed", "-1"])
 @example(argv=["prop3", "--s", "5"])
 @example(argv=["gap", "--fac", "9"])
+@example(argv=["gap", "--c", "-1e5"])
+@example(argv=["gap", "--seed", "-1e5"])
 def test_quick_flags_agree_with_argparse(argv):
     """_quick_flags returns argparse's flags or raises its UsageError, and
     it defers on a well-formed argv only where argparse rejects a value its
     converter refused."""
-    quick, slow = _quick_outcome(argv), _argparse_outcome(argv)
+    quick, slow = _quick_outcome(argv), _argparse_outcome(_joined(argv))
     if quick is not None:
         assert quick == slow, argv
     elif _is_well_formed(argv):
         assert slow == ("exit", 2), argv
+
+
+@settings(deadline=None, max_examples=100)
+@given(argv=st.one_of(argvs(), well_formed()))
+@example(argv=["gap", "--seed", "-1", "--out-path", "-0.5"])
+@example(argv=["gap", "--", "-1"])
+def test_joining_keeps_every_argv_argparse_accepts(argv):
+    """_joined changes nothing argparse reads: an argv it accepts as it
+    stands parses to the same flags joined."""
+    raw = _argparse_outcome(argv)
+    if raw[0] == "flags":
+        assert _argparse_outcome(_joined(argv)) == raw, argv
+
+
+@pytest.mark.parametrize("value", ["-1e5", "-1.5e-3", "-2"])
+@pytest.mark.parametrize("abbreviated", [False, True], ids=["quick", "argparse"])
+def test_a_negative_number_follows_its_flag(value, abbreviated):
+    """gap --c -1e5 runs on both parse paths (an abbreviated flag takes
+    the argparse one) and writes what gap --c=-1e5 writes."""
+    factors = "--fac" if abbreviated else "--factors"
+    spaced = _run(["gap", "--trunc", "40", factors, "3", "--c", value], "")
+    equals = _run(["gap", "--trunc", "40", "--factors=3", f"--c={value}"], "")
+    assert spaced[0] == 0 and spaced == equals

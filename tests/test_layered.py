@@ -319,6 +319,28 @@ class TestLayerCodec:
             count += 1
         assert count == 9**4
 
+    @pytest.mark.parametrize("level_count", [2, 8, 24])
+    def test_every_live_pattern_round_trips(self, layer_params_k8, layer_params_k24,
+                                            level_count):
+        """At most four levels are live, so every outcome pattern of the live
+        levels, the suppressed ones that simulate_and_decode reports held at
+        zero, round-trips: a finite statement, checked outright."""
+        params = {2: synthesize_layer_params(inv_sqrt_log_rule(), 2), 8: layer_params_k8,
+                  24: layer_params_k24}[level_count]
+        suppressed = simulate_and_decode(params, 1).suppressed_levels
+        live = [level for level in range(level_count) if level + 1 not in suppressed]
+        assert live == list(range(min(level_count, 4)))
+        codec = LayerCodec(params)
+        count = 0
+        for combo in itertools.product(OUTCOMES, repeat=len(live)):
+            xs, ys = [0] * level_count, [0] * level_count
+            for level, (sx, sy) in zip(live, combo):
+                xs[level], ys[level] = sx, sy
+            out = codec.decode(codec.encode(xs, ys))
+            assert out.ok and out.x_signs == tuple(xs) and out.y_signs == tuple(ys), (xs, ys)
+            count += 1
+        assert count == 9 ** len(live)
+
     def test_silent_sample_is_exact_zero(self, layer_params_k4):
         codec = LayerCodec(layer_params_k4)
         zero = (0, 0, 0, 0)

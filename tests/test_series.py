@@ -7,12 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mgapprox.series
 from mgapprox import (
+    CesaroProfile,
     CoefficientSeries,
     autocorrelation,
     cauchy_product,
     cesaro_profile,
     exp_series,
+    singular_inner_coeffs,
 )
 
 
@@ -48,6 +51,35 @@ class TestContainer:
         s = series(1.0, 2.0)
         with pytest.raises(ValueError):
             s.coeffs[0] = 7.0
+
+    def test_a_callers_arrays_are_copied_and_stay_writable(self):
+        coeffs, partial, means = np.array([1.0, 2.0]), np.array([1.0, 3.0]), np.array([1.0])
+        s, profile = CoefficientSeries(coeffs), CesaroProfile(partial, means)
+        for given, held in [(coeffs, s.coeffs), (partial, profile.partial_sums),
+                            (means, profile.cesaro_means)]:
+            assert given.flags.writeable and not held.flags.writeable
+            assert not np.shares_memory(given, held)
+        coeffs[0] = 7.0
+        assert s.coeffs[0] == 1.0
+
+    def test_library_built_arrays_are_frozen_not_copied(self, monkeypatch):
+        """singular_inner_coeffs and cesaro_profile hand over the arrays they
+        built: each is frozen in place and held as it is."""
+        handed = []
+        frozen = mgapprox.series._frozen_array
+
+        def spy(values):
+            held = frozen(values)
+            handed.append((values, held))
+            return held
+
+        monkeypatch.setattr(mgapprox.series, "_frozen_array", spy)
+        s = singular_inner_coeffs(1.0, 50)
+        profile = cesaro_profile(s)
+        results = [s.coeffs, profile.partial_sums, profile.cesaro_means]
+        assert len(handed) == 3 and all(held is result for (_, held), result in zip(handed, results))
+        for values, held in handed:
+            assert held is values.array and not held.flags.writeable
 
 
 class TestCesaroProfile:
