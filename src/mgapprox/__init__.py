@@ -10,10 +10,10 @@ identities on an exhaustively enumerated finite model.
 The public names are those in each module's ``__all__``, re-exported here.
 Importing the package loads none of its modules (PEP 562): the first access
 to a public name, a library module, ``__all__`` or ``dir()`` imports all
-seven modules and binds their public names here.  The command line
-imports only the modules of the command it runs.  ``__version__`` and
-``DEFAULT_SEARCH_CAP`` are defined here, so that it can echo them without
-loading a library module.
+seven modules and binds their public names here.  The command line binds,
+with the same ``_bind``, the public names of only the modules of the
+command it runs.  ``__version__`` and ``DEFAULT_SEARCH_CAP`` are defined
+here, so that it can echo them without loading a library module.
 """
 
 import importlib
@@ -27,16 +27,21 @@ DEFAULT_SEARCH_CAP = 10**6
 _MODULES = ("errors", "exact_model", "inner", "layered_process", "linear_process", "rng", "series")
 
 
-def _load() -> None:
-    """Import every module and bind it and its public names here."""
-    names = globals()
-    exported = []
-    for module_name in _MODULES:
+def _bind(modules: tuple[str, ...], names: dict) -> None:
+    """Import the named library modules and bind each one's ``__all__``
+    names in names, leaving a name already bound (a patched one) as it is."""
+    for module_name in modules:
         module = importlib.import_module(f".{module_name}", __name__)
-        names[module_name] = module
-        names.update((name, getattr(module, name)) for name in module.__all__)
-        exported += module.__all__
-    names["__all__"] = exported + ["__version__"]
+        for name in module.__all__:
+            names.setdefault(name, getattr(module, name))
+
+
+def _load() -> None:
+    """Import every module and bind its public names here; the import binds each module."""
+    names = globals()
+    _bind(_MODULES, names)
+    names["__all__"] = [*(name for module in _MODULES for name in names[module].__all__),
+                        "__version__"]
 
 
 def __getattr__(name: str):

@@ -20,6 +20,11 @@ a value starting with '-' that is not a number and a malformed argv all go
 to it.  A number starting with '-' (``--c -1e5``) is a value on both paths:
 argparse gets it as ``--c=-1e5``, since it would take -1e5 for a flag.
 
+Importing this module loads no library module.  Once argv is parsed, main
+binds here the public names (each module's ``__all__``) of the library
+modules the command ``uses``; a name not bound here resolves through the
+package on first access as an attribute.
+
 Output layout: each table goes to {stem}_{table}.{format} where the stem
 defaults to the subcommand name inside $MGAPPROX_OUT_DIR (or the working
 directory).  CSV files carry a {file}.meta.json sidecar; JSON files embed
@@ -29,8 +34,6 @@ the metadata object directly.
 from __future__ import annotations
 
 import atexit
-import gc
-import importlib
 import json
 import math
 import os
@@ -46,50 +49,19 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import DEFAULT_SEARCH_CAP, __version__
+from . import DEFAULT_SEARCH_CAP, __version__, _bind
 from .errors import InvariantViolation
 
 if TYPE_CHECKING:
     import argparse
 
-# The library names the commands call, by module.  Importing this module
-# loads none of these modules: _bind imports those a command uses (its
-# ``uses``) and binds their names here before the command runs, and any
-# other name is bound on first access as an attribute.  perfbench/tracer.py
-# replaces these names on this module, so a bound name is never rebound;
-# it also wraps digit_value, decode_digit_value and decoding_table, which
-# no command calls.
-_LIBRARY = {
-    "exact_model": ("ExactModel", "decode_digit_value", "decode_digit_values", "digit_value",
-                    "digit_values", "hannan_sum", "martingale_difference_norms",
-                    "remote_past_projection"),
-    "inner": ("BlaschkeSpec", "blaschke_eval_radial", "blaschke_product_coeffs",
-              "dyadic_midpoint_report", "newman_shapiro_main_term", "singular_inner_coeffs"),
-    "layered_process": ("decoding_table", "inv_sqrt_log_rule", "power_rule",
-                        "residual_norm_sq_lagged", "residual_norm_sq_natural",
-                        "simulate_and_decode", "synthesize_layer_params"),
-    "linear_process": ("approximation_gap", "best_scalar_gap"),
-    "series": ("cesaro_profile",),
-}
-_MODULE_OF = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
-def _bind(modules: tuple[str, ...]) -> None:
-    """Import the named library modules and bind the names of each that
-    _LIBRARY lists, leaving a name already bound (a patched one) as it is."""
-    names = globals()
-    for module_name in modules:
-        module = importlib.import_module(f".{module_name}", __package__)
-        for name in _LIBRARY[module_name]:
-            if name not in names:
-                names[name] = getattr(module, name)
-
-
 def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind((_MODULE_OF[name],))
-    return globals()[name]
+    # A library name not yet bound here is the package's: the tracer finds
+    # and replaces on this module the names it wraps before main runs.
+    try:
+        return getattr(sys.modules[__package__], name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
 
 
 __all__ = ["LeadingNone", "Table", "UsageError", "emit_table", "entry", "main"]
@@ -183,7 +155,8 @@ _COMMANDS: dict[str, Callable[[dict], list[Table]]] = {}
 def _command(name: str, *opts: Opt, uses: tuple[str, ...]):
     """Register the decorated table function as subcommand ``name``; its
     docstring is the help line, it takes the common options plus opts, and
-    it calls the _LIBRARY names of the modules ``uses`` lists."""
+    it calls public names of the library modules ``uses`` lists, which main
+    binds here before it runs."""
     def register(run):
         run.opts = _COMMON + list(opts)
         run.uses = uses
@@ -236,18 +209,6 @@ def _resolve(command: str, flags: dict) -> dict:
         if cfg[key] is not None and not opt.ok(cfg[key]):
             raise UsageError(f"{opt.name} must be {opt.accepts}, got {cfg[key]!r}")
     return cfg
-
-
-def _named(argv: list[str]) -> str | None:
-    """The command argv names: its first word that is a command name."""
-    return next((arg for arg in argv if arg in _COMMANDS), None)
-
-
-def _bind_command(argv: list[str]) -> None:
-    """Bind the library names of the command argv names, if any."""
-    named = _named(argv)
-    if named is not None:
-        _bind(_COMMANDS[named].uses)
 
 
 def _is_number(text: str) -> bool:
@@ -811,18 +772,18 @@ def main(argv=None) -> int:
     status: 0 on success and after help, 1 for an error, 2 for a bad
     command line or a usage error, 3 for an invariant violation.
 
-    The command's library names are bound, then argv is parsed by
-    _quick_flags, or by argparse when it declines, resolved and run, all
+    argv is parsed by _quick_flags, or by argparse when it declines; the
+    command's library names are bound, and it is resolved and run, all
     inside the wall time printed on stderr.
     """
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        _bind_command(argv)
         try:
             command, flags = _parse(argv)
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
+        _bind(_COMMANDS[command].uses, globals())
         cfg = _resolve(command, flags)
         tables = _COMMANDS[command](cfg)
         metadata = _metadata(cfg)
@@ -855,16 +816,13 @@ def entry() -> None:
     os._exit, which skips the interpreter's teardown of every object.  If
     another thread is alive or a flush fails, sys.exit ends the run instead,
     so the failure is reported as a normal exit reports it.  Before main,
-    the named command's library modules are imported, so their cost falls
-    outside main's wall time, and warnings are set to print one line each."""
+    the library names of the command named by the first argument are
+    bound, so their import cost falls outside main's wall time, and
+    warnings are set to print one line each."""
     # A module that fails to import fails again in main, which reports it.
     with suppress(Exception):
-        _bind_command(sys.argv[1:])
+        _bind(_COMMANDS[sys.argv[1]].uses, globals())
     warnings.showwarning = _warning_line
-    # The imported modules live until the process ends: frozen, they are
-    # never traversed by a collection during main, and main starts with a
-    # full generation-0 allocation budget however much the imports allocated.
-    gc.freeze()
     status = main()
     if threading.active_count() == 1:
         atexit._run_exitfuncs()

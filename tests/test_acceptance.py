@@ -171,13 +171,23 @@ def test_criterion_08_decode_round_trips():
     for level in range(1, 5):
         decoding_table(params, level)  # raises on any interval defect
     rep = simulate_and_decode(params, 10**4, seed=0)
+    # levels >= 2 fire with probability <= 2.5e-6 per draw, so the sampled
+    # outcomes leave them idle: every pattern of the four levels is checked
+    codec = LayerCodec(params)
+    outcomes = list(itertools.product((-1, 0, 1), repeat=2))
+    patterns = [tuple(zip(*combo)) for combo in itertools.product(outcomes, repeat=4)]
+    wrong = 0
+    for xs, ys in patterns:
+        out = codec.decode(codec.encode(xs, ys))
+        wrong += not (out.ok and out.x_signs == xs and out.y_signs == ys)
     elapsed = time.perf_counter() - start
     check(
         8,
         rep.failures == 0 and rep.samples == rep.recovered + rep.boundary_hits
-        and elapsed < 10.0,
+        and len(patterns) == 9**4 and wrong == 0 and elapsed < 10.0,
         f"interval tables clean; {rep.samples} seeded round trips, "
-        f"{rep.failures} non-boundary failures, in {elapsed:.2f}s",
+        f"{rep.failures} non-boundary failures; {len(patterns)} exhaustive "
+        f"four-level round trips, {wrong} wrong, in {elapsed:.2f}s",
     )
 
 

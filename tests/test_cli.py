@@ -1290,6 +1290,8 @@ class TestEntry:
     @pytest.mark.parametrize("argv, loaded, by_argparse", [
         (["inner", "--trunc", "5"], {"errors", "inner", "series"}, False),
         (["inner", "--trunc", str(_ROW_BLOCK)], {"_text", "errors", "inner", "series"}, False),
+        (["inner", "--kind", "blaschke", "--factors", "3", "--trunc", "5000"],
+         {"errors", "inner", "series"}, False),
         (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}, False),
         (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "rng", "series"}, False),
         (["gap", "--fac", "9", "--trunc", "50"],
@@ -1298,14 +1300,15 @@ class TestEntry:
         (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}, False),
         (["prop2", "--depth", "2"], {"errors", "exact_model"}, False),
         (["-h"], {"errors"}, True),
-    ], ids=["inner", "inner-text-blocks", "cesaro", "gap", "gap-abbreviated", "prop6", "prop3",
-            "prop2", "help"])
+    ], ids=["inner", "inner-text-blocks", "inner-blaschke-rows", "cesaro", "gap",
+            "gap-abbreviated", "prop6", "prop3", "prop2", "help"])
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded, by_argparse):
         """The library modules in sys.modules when the exit handlers run, and
         argparse with the gettext and locale it loads only for an argv that
         is not well formed.  An abbreviated flag's table is the exact flag's.
         Only a table of at least _ROW_BLOCK rows of array columns loads
-        _text, so gap, prop2 and prop3 never do."""
+        _text, so gap, prop2 and prop3 never do, nor a long blaschke inner
+        table, whose main_term column is a list of None."""
         prelude = ("import atexit; atexit.register(lambda: print(sorted(m for m in sys.modules "
                    "if m.startswith('mgapprox.') or m in ('argparse', 'gettext', 'locale'))))")
         status, out, err = self.outcome(tmp_path, self.ENTRY, argv, prelude)
@@ -1366,20 +1369,35 @@ def test_traced_run_counts_rows(tmp_path):
 
 
 def test_every_library_name_resolves_on_cli():
-    """In a fresh interpreter, each name of cli's library table is, as an
-    attribute of mgapprox.cli, the object of that name in its module: the
-    names the tracer wraps are found where it looks for them."""
+    """In a fresh interpreter, each public name of each library module is,
+    as an attribute of mgapprox.cli, that module's object: the names the
+    tracer wraps are found where it looks for them.  No public name
+    collides with a name cli defines, which binding a command's modules
+    would leave in place, and a missing name is reported as cli's."""
     script = """if True:
-        import importlib, mgapprox.cli as cli
-        print(sorted(name for module, names in cli._LIBRARY.items() for name in names
-                     if getattr(cli, name)
-                     is not getattr(importlib.import_module("mgapprox." + module), name)))
+        import importlib, json, mgapprox, mgapprox.cli as cli
+        defined = dict(vars(cli))
+        modules = {name: importlib.import_module("mgapprox." + name) for name in mgapprox._MODULES}
+        public = {(module, name) for module in modules for name in modules[module].__all__}
+        try:
+            cli.no_such_name
+        except AttributeError as exc:
+            missing = str(exc)
+        print(json.dumps({
+            "collisions": sorted(name for module, name in public if name in defined
+                                 and defined[name] is not getattr(modules[module], name)),
+            "unresolved": sorted(name for module, name in public
+                                 if getattr(cli, name) is not getattr(modules[module], name)),
+            "missing": missing,
+        }))
     """
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert json.loads(proc.stdout) == {
+        "collisions": [], "unresolved": [],
+        "missing": "module 'mgapprox.cli' has no attribute 'no_such_name'"}
 
 
 def test_cli_import_leaves_mpmath_out():
