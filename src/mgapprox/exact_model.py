@@ -15,12 +15,14 @@ the e-signs of positive and negative index into one number through the
 base-1/3 expansion 1 + sum_{i=1..depth} e_i 3^-(2i) + e_-i 3^-(2i+1); the
 exponents 2 .. 2 depth + 1 are distinct and each weight dominates the sum
 of all smaller ones, so the packing is lossless and invertible by a greedy
-scan.  ``digit_values`` and ``decode_digit_values`` pack and decode whole
-sign matrices in 2 depth array steps; ``digit_value`` and
-``decode_digit_value`` are their one-row forms.  e_0 and e_{depth+1}
-carry no digit weight: e_0 enters the observable separately, and
-e_{depth+1} exists only so the filtration has one step past the last
-weighted carrier.
+scan.  ``digit_values`` is the one encoder: it packs whole sign matrices,
+``ExactModel.build``'s digit column included, by 2 depth elementwise adds
+in a fixed column order, with no BLAS product, so the digit is the same
+float on every CPU.  ``decode_digit_values`` decodes in 2 depth array
+steps; ``digit_value`` and ``decode_digit_value`` are the one-row forms of
+the two.  e_0 and e_{depth+1} carry no digit weight: e_0 enters the
+observable separately, and e_{depth+1} exists only so the filtration has
+one step past the last weighted carrier.
 """
 
 from __future__ import annotations
@@ -45,21 +47,6 @@ __all__ = [
 ]
 
 Label = tuple[str, int]
-
-# Atoms per block of the digit matmul, so its float64 copy of the signs
-# stays at 4096 x V x 8 bytes (0.6 MB at V = 20) instead of 2^V x V x 8.
-_DIGIT_BLOCK = 4096
-
-
-def _digit_weight(label: Label, depth: int) -> float:
-    """Weight of one carrier inside the packed digit (zero off the e-band)."""
-    kind, idx = label
-    if kind != "e" or idx == 0 or abs(idx) > depth:
-        return 0.0
-    if idx >= 1:
-        return 3.0 ** -(2 * idx)
-    return 3.0 ** -(2 * -idx + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ExactModel:
@@ -87,11 +74,8 @@ class ExactModel:
         signs = np.empty((2**v, v), dtype=np.int8)
         for j in range(v):  # carrier j is +1 where bit j of the atom index is set
             signs[:, j] = np.tile(np.repeat(pm, 2**j), 2 ** (v - 1 - j))
-        weights = np.array([_digit_weight(lab, depth) for lab in labels])
-        digit = np.empty(2**v)
-        for start in range(0, 2**v, _DIGIT_BLOCK):
-            block = slice(start, start + _DIGIT_BLOCK)
-            digit[block] = 1.0 + signs[block].astype(np.float64) @ weights
+        band = [labels.index(label) for label in _band(depth)[0]]
+        digit = digit_values(signs[:, band], depth)
         f0 = signs[:, labels.index(("f", 0))].astype(np.float64)
         e0 = signs[:, labels.index(("e", 0))].astype(np.float64)
         observable = f0 * digit + 2.0 * e0
@@ -184,17 +168,15 @@ def remote_past_projection(model: ExactModel) -> ProjectionReport:
     )
 
 
-def _digit_band(depth: int) -> list[Label]:
-    """The weighted e-carriers in packing order: e_1 .. e_depth, then
-    e_-depth .. e_-1; column j of a sign matrix holds carrier j."""
-    return [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
-
-
-def _scan_columns(depth: int) -> list[int]:
-    """Columns of the band in decoding order, weight 3^-m for m = 2 ..
-    2 depth + 1: m = 2i holds e_i (column i - 1), m = 2i + 1 holds e_-i
-    (column 2 depth - i)."""
-    return [m // 2 - 1 if m % 2 == 0 else 2 * depth - m // 2 for m in range(2, 2 * depth + 2)]
+def _band(depth: int) -> tuple[list[Label], list[float], list[int]]:
+    """The weighted e-carriers in packing order, e_1 .. e_depth, then
+    e_-depth .. e_-1 (column j of a sign matrix holds carrier j); their
+    weights, 3^-(2i) for e_i and 3^-(2i+1) for e_-i; and the columns in
+    decoding order, by decreasing weight."""
+    labels = [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
+    weights = [3.0 ** -(2 * i) if i > 0 else 3.0 ** -(2 * -i + 1) for _, i in labels]
+    order = sorted(range(2 * depth), key=lambda j: -weights[j])
+    return labels, weights, order
 
 
 def digit_values(signs, depth: int) -> np.ndarray:
@@ -212,8 +194,8 @@ def digit_values(signs, depth: int) -> np.ndarray:
     if not np.all((signs == 1) | (signs == -1)):
         raise ValueError("signs must be -1 or +1")
     total = np.ones(signs.shape[0])
-    for j, label in enumerate(_digit_band(depth)):
-        total += signs[:, j] * _digit_weight(label, depth)
+    for j, weight in enumerate(_band(depth)[1]):
+        total += signs[:, j] * weight
     return total
 
 
@@ -231,13 +213,13 @@ def decode_digit_values(values, depth: int) -> tuple[np.ndarray, np.ndarray]:
     residual = np.array(values, dtype=np.float64, ndmin=1) - 1.0
     if residual.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    band = _digit_band(depth)
+    _, weights, order = _band(depth)
     signs = np.empty((residual.size, 2 * depth), dtype=np.int8)
     ok = np.ones(residual.size, dtype=bool)
-    for j in _scan_columns(depth):
+    for j in order:
         ok &= residual != 0.0
         signs[:, j] = np.where(residual > 0.0, 1, -1)
-        residual -= signs[:, j] * _digit_weight(band[j], depth)
+        residual -= signs[:, j] * weights[j]
     return signs, ok
 
 
@@ -247,7 +229,7 @@ def digit_value(signs: dict[Label, int], depth: int) -> float:
     Only the weighted band is read: e_i for 1 <= |i| <= depth.
     """
     depth = int(depth)
-    row = [int(signs[label]) for label in _digit_band(depth)]
+    row = [int(signs[label]) for label in _band(depth)[0]]
     return float(digit_values([row], depth)[0])
 
 
@@ -258,5 +240,5 @@ def decode_digit_value(value: float, depth: int) -> dict[Label, int]:
     signs, ok = decode_digit_values(float(value), depth)
     if not ok[0]:
         raise ValueError("value is not a packed digit of this depth")
-    band = _digit_band(depth)
-    return {band[j]: int(signs[0, j]) for j in _scan_columns(depth)}
+    labels, _, order = _band(depth)
+    return {labels[j]: int(signs[0, j]) for j in order}

@@ -80,6 +80,15 @@ _DRAW_BLOCK = 2**12  # samples drawn and tallied per array pass
 # K = 8 took 0.46 s, so the ceiling bounds a run at about 5 s.
 _MAX_SAMPLES = 10**7
 
+# Most levels synthesize_layer_params builds.  The codec's precision grows
+# with every level, and its Decimal exps with it: on a 2-core Xeon VM,
+# prop3 --samples 1 with power:10 took 0.21 s at K = 100, 2.2 s at K = 200
+# and 118 s at K = 600, and at K = 100 the steepest power ladder that stays
+# inside int64 (power:0.05, search cap 10^20) took 3.2 s.  The ceiling
+# keeps a run at about 5 s and lies above level 87, where the invsqrtlog
+# ladder meets the int64 limit once the search cap allows it.
+_MAX_LEVELS = 100
+
 
 def inv_sqrt_log_rule() -> Callable[[int], float]:
     """Floor sequence b_n = 1/sqrt(log(n+3)): positive, decreasing, -> 0."""
@@ -229,15 +238,16 @@ def synthesize_layer_params(
 
     phi(j) is the smallest integer above phi(j-1) (phi(0) = 12, which forces
     rho < 1/10) with 2 sum_{k>j} p_k^2 > b(phi(j))^2, the tail over all k > j
-    taken analytically; LayerParams derives rho, q, r and s from it.
+    taken analytically; LayerParams derives rho, q, r and s from it.  More
+    than 100 levels raise ValueError before any horizon is searched.
     """
     level_count = int(level_count)
     if level_count < 2:
         raise ValueError("need at least two levels")
+    if level_count > _MAX_LEVELS:
+        raise ValueError(f"{level_count} levels exceed {_MAX_LEVELS}, the most supported")
     search_cap = int(search_cap)
 
-    # a list, so a huge level_count allocates nothing: the int64 limit or the
-    # search cap ends the ladder within about 90 levels
     phi, prev = [], 12
     for j in range(1, level_count + 1):
         target = 2.0 * _tail_inverse_squares(j)

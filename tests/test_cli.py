@@ -922,6 +922,12 @@ class TestConfigResolution:
         assert run("inner", "--config", "run.cfg") == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_value_failing_its_converter(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("trunc=abc\n")
+        assert run("inner", "--config", "run.cfg") == 2
+        assert "usage error: bad value for trunc: 'abc'" in capsys.readouterr().err
+        assert os.listdir() == ["run.cfg"]
+
     def test_config_cannot_nest(self, tmp_path):
         (tmp_path / "run.cfg").write_text("config=other.cfg\n")
         assert run("inner", "--config", "run.cfg") == 2
@@ -1017,7 +1023,7 @@ class TestExitStatus:
         (("inner", "--kind", "blaschke", "--factors", str(10**400)), "dyadic zero k=54 rounds"),
         (("prop6", "--k-max", str(10**400)), "dyadic zero k=54 rounds"),
         (("inner", "--kind", "blaschke", "--trunc", str(10**400)), "need over 1e+07 steps"),
-        (("prop3", "--K", str(10**400)), "no admissible horizon at or below the search cap"),
+        (("prop3", "--K", str(10**400)), "levels exceed 100, the most supported"),
     ], ids=["factors", "k-max", "trunc", "K"])
     def test_count_past_the_float_range_meets_its_limit(self, argv, message, capsys):
         # each used to end in a raw OverflowError (int too large to convert to
@@ -1128,6 +1134,14 @@ class TestExitStatus:
             assert run("prop3", "--samples", str(samples)) == 1
             assert f"{samples} samples exceed 1e+07" in capsys.readouterr().err
             assert os.listdir() == []
+
+    def test_level_ceiling(self, capsys):
+        # K = 600 spent 118 s in the codec's Decimal exps, and larger K hung
+        start = time.monotonic()
+        assert run("prop3", "--K", "100000", "--b-rule", "power:10", "--samples", "1") == 1
+        assert time.monotonic() - start < 1.0
+        assert "100000 levels exceed 100, the most supported" in capsys.readouterr().err
+        assert os.listdir() == []
 
     def test_singular_a_range(self, capsys):
         # exp(-746) is 0: the old recurrence wrote all-zero coefficients

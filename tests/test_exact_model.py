@@ -1,8 +1,13 @@
 """Exhaustive finite model: filtrations, increment norms, digit codec."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from mgapprox import (
     martingale_difference_norms,
     remote_past_projection,
 )
-from mgapprox.exact_model import _digit_weight
+from mgapprox.cli import OUT_DIR_ENV
 
 
 def analytic_root_norm(depth):
@@ -46,11 +51,10 @@ class TestBuild:
         assert len(rows) == 2**10
 
     @pytest.mark.parametrize("depth", range(1, 9))
-    def test_blocked_digit_equals_the_unblocked_product(self, depth):
-        # the oracle is the one-shot (2^V, V) float64 matmul the blocks replace
+    def test_digit_is_the_encoder_of_the_band_columns(self, depth):
         model = ExactModel.build(depth)
-        weights = np.array([_digit_weight(label, depth) for label in model.labels])
-        assert np.array_equal(model.digit, 1.0 + model.signs.astype(np.float64) @ weights)
+        band = np.column_stack([model.column(label) for label in band_of(depth)])
+        assert model.digit.tobytes() == digit_values(band, depth).tobytes()
 
     def test_digit_range_and_mean(self, model3):
         assert np.all(model3.digit > 0.0)
@@ -448,3 +452,35 @@ class TestArrayDigitCodec:
             digit_values([[1, -1, 1]], 1)
         with pytest.raises(ValueError):
             decode_digit_values([[1.0]], 1)
+
+
+def numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (KeyError, TypeError, ValueError):
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas_name().lower()
+                    or platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="numpy's BLAS is not OpenBLAS on x86-64")
+@pytest.mark.parametrize("depth", [3, 6])
+def test_prop2_bytes_do_not_depend_on_the_blas_kernel(depth, tmp_path):
+    """prop2 writes the same bytes under the default OpenBLAS kernel and
+    under Prescott (SSE3, which any x86-64 runs); the digit column once
+    came from a BLAS product whose last bits followed the kernel."""
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = {}
+    for core in ("", "Prescott"):
+        out_dir = tmp_path / (core or "default")
+        run_env = dict(env, **{OUT_DIR_ENV: str(out_dir)})
+        if core:
+            run_env["OPENBLAS_CORETYPE"] = core
+        argv = [sys.executable, "-m", "mgapprox.cli", "prop2", "--depth", str(depth)]
+        proc = subprocess.run(argv, env=run_env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs[core] = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    assert len(outputs[""]) == 4
+    for name, data in outputs[""].items():
+        assert outputs["Prescott"][name] == data, f"{name} differs under the Prescott kernel"

@@ -14,6 +14,13 @@ Refresh the manifest with::
 
 only in a change that moves table bytes on purpose, saying why and by how
 much in CHANGES.md; a refresh never makes a failure pass.
+
+On another CPU, or with ``OPENBLAS_CORETYPE`` set, the Blaschke cases
+(``gap --kind blaschke``, ``inner --kind blaschke``) may fail in the last
+bits alone: ``_lossless_cascade`` in inner.py builds their coefficients
+with a BLAS matrix product, ``u @ toeplitz.T``, whose rounding follows the
+kernel.  Every other case matched under seven OpenBLAS kernels, Prescott
+to SkylakeX.
 """
 
 import contextlib

@@ -382,6 +382,11 @@ class TestBlaschkeProduct:
         for z in spec.zeros:
             assert blaschke_eval_radial(spec, float(z)) == 0.0
 
+    @pytest.mark.parametrize("r", [1.0, -1.0, 1.5, math.inf, math.nan])
+    def test_radial_point_outside_the_disc_rejected(self, r):
+        with pytest.raises(ValueError, match=r"needs \|r\| < 1"):
+            blaschke_eval_radial(BlaschkeSpec(np.array([0.5])), r)
+
     def test_certificate_flag_set(self):
         s = blaschke_product_coeffs(BlaschkeSpec(np.array([0.3, 0.1])), 30)
         assert s.orthonormal_rows is True

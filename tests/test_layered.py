@@ -140,11 +140,18 @@ class TestSynthesis:
         # needs a horizon of about 1.0e19, which phi cannot store
         with pytest.raises(ValueError, match=r"level 87 .* limit 2\*\*63 - 1"):
             synthesize_layer_params(inv_sqrt_log_rule(), 90, search_cap=10**20)
-        # a level count no array could hold ends at the same level
-        with pytest.raises(ValueError, match=r"level 87 .* limit 2\*\*63 - 1"):
+        # a level count past the level ceiling ends before any search
+        with pytest.raises(ValueError, match="levels exceed 100"):
             synthesize_layer_params(inv_sqrt_log_rule(), 10**400, search_cap=10**20)
         top = synthesize_layer_params(inv_sqrt_log_rule(), 86, search_cap=10**20).phi[-1]
         assert 2**62 < top < 2**63
+
+    def test_level_ceiling(self):
+        # checked before any horizon is searched, so the slow rule never runs
+        assert synthesize_layer_params(power_rule(10.0), 100).level_count == 100
+        never = lambda n: pytest.fail("a horizon was searched")
+        with pytest.raises(ValueError, match="101 levels exceed 100, the most supported"):
+            synthesize_layer_params(never, 101)
 
     def test_power_rule_floor(self):
         pr = synthesize_layer_params(power_rule(0.25), 3)
@@ -408,6 +415,14 @@ class TestLayerCodec:
     def test_unreadable_value_rejected(self, layer_params_k4, value):
         with pytest.raises(ValueError, match=re.escape(repr(value))):
             LayerCodec(layer_params_k4).decode(value)
+
+    def test_level_one_miss_reported(self, layer_params_k4):
+        # halfway between the level-1 centers 0 and rho_1: every higher level
+        # reads its silent cell, and level 1 matches no center within rho_1/4
+        codec = LayerCodec(layer_params_k4)
+        out = codec.decode(float(layer_params_k4.rho[0]) / 2)
+        assert not out.ok and not out.boundary and out.fail_level == 1
+        assert out.x_signs == out.y_signs == (0, 0, 0, 0)
 
     def test_precision_scales_with_dynamic_range(self, layer_params_k4, layer_params_k8):
         assert LayerCodec(layer_params_k8).dps > LayerCodec(layer_params_k4).dps
