@@ -2,13 +2,13 @@
 
 The sample space is the sign cube {+-1}^V of a finite family of
 independent Rademacher variables: carriers ``("e", i)`` for i = -depth ..
-depth + 1 and ``("f", j)`` for j in {-1, 0} plus any extras.  Atom i is
-the sign pattern whose carrier j is +1 exactly when bit j of i is set, so
-a vector over the 2^V atoms reshaped to ``(2,) * V`` has carrier j on axis
-V - 1 - j.  Conditioning on a set of carriers is then the mean over the
-axes of the carriers outside it, which makes martingale difference norms,
-telescoping identities and remote-past projections exact to float64
-roundoff rather than sampled.
+depth + 1 and ``("f", j)`` for j in {-1, 0}.  Atom i is the sign pattern
+whose carrier j is +1 exactly when bit j of i is set, so a vector over the
+2^V atoms reshaped to ``(2,) * V`` has carrier j on axis V - 1 - j.
+Conditioning on a set of carriers is then the mean over the axes of the
+carriers outside it, which makes martingale difference norms, telescoping
+identities and remote-past projections exact to float64 roundoff rather
+than sampled.
 
 The observable of interest is f_0 * digit + 2 e_0, where ``digit`` packs
 the e-signs of positive and negative index into one number through the
@@ -59,14 +59,11 @@ class ExactModel:
     observable: np.ndarray  # (2^V,) float64
 
     @classmethod
-    def build(cls, depth: int, extra_carriers: tuple[int, ...] = ()) -> "ExactModel":
+    def build(cls, depth: int) -> "ExactModel":
         depth = int(depth)
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        e_labels = [("e", i) for i in range(-depth, depth + 2)]
-        f_indices = sorted({-1, 0, *map(int, extra_carriers)})
-        f_labels = [("f", j) for j in f_indices]
-        labels = tuple(e_labels + f_labels)
+        labels = (*(("e", i) for i in range(-depth, depth + 2)), ("f", -1), ("f", 0))
         v = len(labels)
         if v > 20:
             raise ValueError("too many carriers for exhaustive enumeration")

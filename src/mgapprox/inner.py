@@ -187,10 +187,9 @@ def newman_shapiro_main_term(a: float, n):
 
 @dataclass(frozen=True, eq=False)
 class BlaschkeSpec:
-    """Finite prefix of real Blaschke zeros in [0, 1), optionally rule-tagged."""
+    """Finite prefix of real Blaschke zeros in [0, 1)."""
 
     zeros: np.ndarray
-    rule: str | None = None
 
     def __post_init__(self):
         arr = np.array(self.zeros, dtype=float)
@@ -206,7 +205,7 @@ class BlaschkeSpec:
         """Zeros z_k = 1 - 2^-k for k = 1..count."""
         if count < 1:
             raise ValueError("need at least one zero")
-        return cls(_zeros_below_one(lambda k: 1.0 - np.exp2(-k), count, "dyadic"), rule="dyadic")
+        return cls(_zeros_below_one(lambda k: 1.0 - np.exp2(-k), count, "dyadic"))
 
     @classmethod
     def power(cls, alpha: float, count: int) -> "BlaschkeSpec":
@@ -217,38 +216,28 @@ class BlaschkeSpec:
             raise ValueError("alpha must be positive")
         if count < 1:
             raise ValueError("need at least one zero")
-        rule = f"power({alpha})"
-        return cls(_zeros_below_one(lambda k: 1.0 - k**-alpha, count, rule), rule=rule)
+        return cls(_zeros_below_one(lambda k: 1.0 - k**-alpha, count, f"power({alpha})"))
 
 
 def _zeros_below_one(
     zero: Callable[[np.ndarray], np.ndarray], count: int, rule: str
 ) -> np.ndarray:
     """The zeros ``zero(k)`` for k = 1..count, which increase with k; raises
-    when one rounds to 1 or count exceeds _MAX_RULE_ZEROS, before building
-    the array.  The last zero, or the first past the ceiling when count
-    exceeds it, is checked alone, so no count too large for a float is
-    converted, and the first one at 1 is found by bisection."""
-
-    def at_one(k: int) -> bool:
-        return bool(zero(np.array([k], dtype=float))[0] >= 1.0)
-
-    last = min(count, _MAX_RULE_ZEROS + 1)
-    if at_one(last):
-        lo, hi = 0, last  # zero(lo) < 1 <= zero(hi), with k = 0 a sentinel
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if at_one(mid):
-                hi = mid
-            else:
-                lo = mid
+    when one rounds to 1, or else when count exceeds _MAX_RULE_ZEROS.  One
+    pass evaluates at most the first _MAX_RULE_ZEROS + 1 zeros, so no count
+    too large for a float is converted, and the first one at 1 is the
+    first index np.flatnonzero finds."""
+    zeros = zero(np.arange(1, min(count, _MAX_RULE_ZEROS + 1) + 1, dtype=float))
+    at_one = np.flatnonzero(zeros >= 1.0)
+    if at_one.size:
+        k = int(at_one[0]) + 1
         raise ValueError(
-            f"{rule} zero k={hi} rounds to 1.0 in double precision; "
-            f"at most {hi - 1} zeros of this rule are representable"
+            f"{rule} zero k={k} rounds to 1.0 in double precision; "
+            f"at most {k - 1} zeros of this rule are representable"
         )
     if count > _MAX_RULE_ZEROS:
         raise ValueError(f"{rule} asks for {count} zeros; at most {_MAX_RULE_ZEROS} are supported")
-    return zero(np.arange(1, count + 1, dtype=float))
+    return zeros
 
 
 def blaschke_factor_coeffs(z0: float, n: int) -> CoefficientSeries:

@@ -26,6 +26,7 @@ tables and the encoder/decoder use.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import (
@@ -192,7 +193,8 @@ def _smallest_horizon(
     b_rule: Callable[[int], float], target: float, start: int, cap: int
 ) -> int:
     """Smallest m >= start with b(m)^2 < target; b is non-increasing, so the
-    predicate is monotone and an exponential probe plus bisection works."""
+    predicate is monotone: an exponential probe brackets the answer in
+    (lo, m], and bisection finds it there."""
 
     def ok(m: int) -> bool:
         bm = float(b_rule(m))
@@ -204,29 +206,18 @@ def _smallest_horizon(
         return start
     if start >= cap:
         raise ValueError(f"no admissible horizon at or below the search cap {cap}")
-    lo = start
-    hi = None
+    lo = m = start
     step = 1
-    m = start
-    while hi is None:
+    while True:
         m = min(cap, m + step)
-        step *= 2
         if ok(m):
-            hi = m
-        elif m >= cap:
+            return lo + 1 + bisect_left(range(lo + 1, m), True, key=ok)
+        if m >= cap:
             raise ValueError(
                 f"no admissible horizon at or below the search cap {cap}; "
                 "the floor sequence decays too slowly"
             )
-        else:
-            lo = m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        lo, step = m, 2 * step
 
 
 def synthesize_layer_params(
@@ -239,7 +230,9 @@ def synthesize_layer_params(
     phi(j) is the smallest integer above phi(j-1) (phi(0) = 12, which forces
     rho < 1/10) with 2 sum_{k>j} p_k^2 > b(phi(j))^2, the tail over all k > j
     taken analytically; LayerParams derives rho, q, r and s from it.  More
-    than 100 levels raise ValueError before any horizon is searched.
+    than 100 levels raise ValueError before any horizon is searched.  phi
+    stores no horizon past 2**63 - 1, so no search goes past it: a level
+    that needs one raises ValueError, whatever the search cap.
     """
     level_count = int(level_count)
     if level_count < 2:
@@ -247,14 +240,18 @@ def synthesize_layer_params(
     if level_count > _MAX_LEVELS:
         raise ValueError(f"{level_count} levels exceed {_MAX_LEVELS}, the most supported")
     search_cap = int(search_cap)
+    limit = min(search_cap, _INT64_MAX)
 
     phi, prev = [], 12
     for j in range(1, level_count + 1):
         target = 2.0 * _tail_inverse_squares(j)
-        prev = _smallest_horizon(b_rule, target, prev + 1, search_cap)
-        if prev > _INT64_MAX:
-            raise ValueError(f"level {j} needs the horizon {prev}, above the int64 "
-                             "limit 2**63 - 1 of the horizon ladder")
+        try:
+            prev = _smallest_horizon(b_rule, target, prev + 1, limit)
+        except ValueError as exc:
+            if search_cap > limit and str(exc).startswith("no admissible horizon"):
+                raise ValueError(f"level {j} needs the horizon to exceed the int64 "
+                                 "limit 2**63 - 1 of the horizon ladder") from None
+            raise
         phi.append(prev)
     return LayerParams(phi=np.array(phi, dtype=np.int64),
                        b_at_phi=np.array([float(b_rule(m)) for m in phi]))

@@ -1,51 +1,27 @@
-"""Window-sum second moments and sampling for causal linear processes.
+"""Window-sum second moments of causal linear processes.
 
 A coefficient prefix a_0..a_N defines X_k = sum_{i=0}^{N} a_i e_{k-i} with
 iid unit-variance innovations e.  Window sums expand exactly over the
 innovation basis, so the normalized distance between a window of X and a
 scalar multiple of the innovation window is closed-form; the minimizing
-scalar is the Cesaro mean of the coefficient partial sums.  Monte-Carlo
-paths are provided for cross-checking the exact formulas.
+scalar is the Cesaro mean of the coefficient partial sums.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import substream
 from .series import CoefficientSeries
 
 __all__ = [
     "GapReport",
-    "INNOVATION_KINDS",
-    "LinearProcessSpec",
     "approximation_gap",
     "best_scalar_gap",
-    "empirical_autocovariance",
-    "simulate_path",
     "sum_norm_sq",
 ]
-
-INNOVATION_KINDS = ("gaussian", "rademacher")
-
-
-@dataclass(frozen=True, eq=False)
-class LinearProcessSpec:
-    """Sampling recipe: coefficients, innovation law, base seed."""
-
-    series: CoefficientSeries
-    innovation_kind: str = "gaussian"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.innovation_kind not in INNOVATION_KINDS:
-            raise ValueError(f"innovation_kind must be one of {INNOVATION_KINDS}")
-        if not self.series.mass() > 0.0:
-            raise ValueError("the coefficient series must carry positive mass")
 
 
 @dataclass(frozen=True)
@@ -150,53 +126,3 @@ def best_scalar_gap(series: CoefficientSeries, n: int) -> GapReport:
     scalar multiple of the innovation approximates the process windows.
     """
     return _report(series, n, None)
-
-
-def simulate_path(
-    spec: LinearProcessSpec, n: int, burn_in: int | None = None, replicate: int = 0
-) -> np.ndarray:
-    """Seeded sample path X_0..X_{n-1}, deterministic per (seed, replicate).
-
-    ``burn_in`` innovations precede time zero so that early entries see a
-    full coefficient window; passing less than series.order is allowed for
-    experiments on startup bias but is flagged.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError("the path length must be >= 1")
-    order = spec.series.order
-    if burn_in is None:
-        burn_in = order
-    burn_in = int(burn_in)
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
-    if burn_in < order:
-        warnings.warn(
-            f"burn_in {burn_in} is shorter than the coefficient support {order}; "
-            "early path entries miss part of the window",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    rng = substream(spec.seed, replicate)
-    size = burn_in + n
-    if spec.innovation_kind == "gaussian":
-        innov = rng.standard_normal(size)
-    else:
-        innov = rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-    # X_t needs innovations t - order..t: keep the last order + n, with zeros
-    # standing in for those before the burn-in, and convolve only where the
-    # whole coefficient window overlaps
-    window = np.concatenate((np.zeros(max(0, order - burn_in)), innov[max(0, burn_in - order):]))
-    return np.convolve(window, spec.series.coeffs, "valid")
-
-
-def empirical_autocovariance(path: np.ndarray, k: int) -> float:
-    """Biased (1/n-normalized) sample autocovariance at lag k."""
-    x = np.asarray(path, dtype=float)
-    k = int(k)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("the path must be a nonempty one-dimensional array")
-    if k < 0 or k >= x.size:
-        raise ValueError(f"lag must lie in [0, {x.size - 1}]")
-    d = x - x.mean()
-    return float(d[: x.size - k] @ d[k:]) / x.size

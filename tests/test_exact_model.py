@@ -27,6 +27,7 @@ from mgapprox import (
     remote_past_projection,
 )
 from mgapprox.cli import OUT_DIR_ENV
+from oracles import with_carrier
 
 
 def analytic_root_norm(depth):
@@ -66,9 +67,14 @@ class TestBuild:
         e0 = model3.column(("e", 0))
         assert np.array_equal(model3.observable, f0 * model3.digit + 2.0 * e0)
 
-    def test_extra_carriers(self):
-        m = ExactModel.build(2, extra_carriers=(1,))
-        assert ("f", 1) in m.labels
+    def test_added_carrier_keeps_the_atom_layout(self):
+        # the enlarged model of the literal filtration cases
+        m = with_carrier(ExactModel.build(2), ("f", 1))
+        assert m.labels[-1] == ("f", 1)
+        index = np.arange(2**len(m.labels))
+        for j in range(len(m.labels)):
+            assert np.array_equal(m.signs[:, j], np.where((index >> j) & 1, 1, -1))
+        assert np.array_equal(m.observable, m.column(("f", 0)) * m.digit + 2.0 * m.column(("e", 0)))
 
     def test_signs_follow_the_atom_index_bits(self, model3):
         index = np.arange(2**10)
@@ -287,7 +293,7 @@ class TestRemotePastProjection:
 
 @pytest.fixture(scope="module")
 def enlarged():
-    return ExactModel.build(2, extra_carriers=(1,))
+    return with_carrier(ExactModel.build(2), ("f", 1))
 
 
 def fe_product(m, i):

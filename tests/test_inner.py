@@ -3,6 +3,7 @@
 import math
 import warnings
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -25,6 +26,8 @@ from mgapprox import (
     singular_exponent_series,
     singular_inner_coeffs,
 )
+import mgapprox.inner
+from mgapprox.inner import _zeros_below_one
 
 # prod_{k=1..60} (1 - 2^-k)/(1 + 2^-k), frozen from an independent evaluation.
 DYADIC_LIMIT_CONSTANT = 0.12112420800258053
@@ -260,7 +263,6 @@ class TestBlaschkeSpec:
     def test_dyadic_zeros(self):
         spec = BlaschkeSpec.dyadic(3)
         assert np.allclose(spec.zeros, [0.5, 0.75, 0.875], atol=0, rtol=0)
-        assert spec.rule == "dyadic"
 
     def test_power_zeros(self):
         spec = BlaschkeSpec.power(2.0, 3)
@@ -289,7 +291,8 @@ class TestBlaschkeSpec:
     ], ids=["dyadic", "power"])
     def test_zero_rounding_to_one_names_the_count(self, build, first):
         assert build(first - 1).zeros[-1] < 1.0
-        # 10^15 zeros would take 8 PB: the first one at 1 is found on scalars
+        # 10^15 zeros would take 8 PB: the first one at 1 is found among
+        # at most the first 10^6 + 1 zeros
         message = f"k={first} rounds to 1.0.* at most {first - 1} "
         for count in (first, 10**15, 10**400):  # 10^400 overflows a float
             with pytest.raises(ValueError, match=message):
@@ -297,17 +300,41 @@ class TestBlaschkeSpec:
 
     def test_zero_count_ceiling(self):
         # power(0.01) keeps every zero below 1; the ceiling ends the request
-        # before any array is built
+        # once the first 10^6 + 1 zeros are checked
         assert BlaschkeSpec.power(0.01, 10**6).zeros.size == 10**6
         for count in (10**6 + 1, 10**15, 10**400):
             with pytest.raises(ValueError, match=f"asks for {count} zeros; at most 1000000 "):
                 BlaschkeSpec.power(0.01, count)
 
     def test_count_past_the_ceiling_is_checked_at_the_ceiling(self):
-        # power(2) reaches 1.0 near k = 9.5e7, past the ceiling: the zero
-        # checked is k = 10^6 + 1, which lies below 1, so the ceiling reports
+        # power(2) reaches 1.0 near k = 9.5e7, past the ceiling: the zeros
+        # checked end at k = 10^6 + 1, below 1, so the ceiling reports
         with pytest.raises(ValueError, match="power\\(2.0\\) asks for 100000000 zeros"):
             BlaschkeSpec.power(2.0, 10**8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(first=st.integers(1, 40), count=st.integers(1, 40), ceiling=st.integers(1, 30))
+    @example(first=11, count=12, ceiling=10)  # the first at 1 is the one past the ceiling
+    @example(first=12, count=12, ceiling=10)  # it lies beyond: the ceiling reports
+    @example(first=5, count=5, ceiling=10)  # it is the last zero asked for
+    def test_first_zero_at_one_is_the_first_of_a_scan(self, first, count, ceiling):
+        # increasing zeros 1 - 1/(k + 1) below k = first, 1.0 from there on
+        zero = lambda k: np.where(k < first, 1.0 - 1.0 / (k + 1.0), 1.0)
+        scanned = range(1, min(count, ceiling + 1) + 1)
+        at_one = next((k for k in scanned if zero(np.array([k], dtype=float))[0] >= 1.0), None)
+        with mock.patch.object(mgapprox.inner, "_MAX_RULE_ZEROS", ceiling):
+            if at_one is not None:
+                message = (f"rule zero k={at_one} rounds to 1.0 in double precision; "
+                           f"at most {at_one - 1} zeros of this rule are representable")
+            elif count > ceiling:
+                message = f"rule asks for {count} zeros; at most {ceiling} are supported"
+            else:
+                zeros = _zeros_below_one(zero, count, "rule")
+                assert zeros.tolist() == [1.0 - 1.0 / (k + 1.0) for k in range(1, count + 1)]
+                return
+            with pytest.raises(ValueError) as info:
+                _zeros_below_one(zero, count, "rule")
+        assert str(info.value) == message
 
 
 class TestBlaschkeProduct:

@@ -10,7 +10,7 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgapprox import (
@@ -33,7 +33,7 @@ from mgapprox import (
 )
 import mgapprox.layered_process
 import mgapprox.rng
-from mgapprox.layered_process import _tail_inverse_squares, _working_dps
+from mgapprox.layered_process import _smallest_horizon, _tail_inverse_squares, _working_dps
 
 DECADES = tuple(10**j for j in range(7))
 OUTCOMES = list(itertools.product((-1, 0, 1), repeat=2))
@@ -146,12 +146,49 @@ class TestSynthesis:
         top = synthesize_layer_params(inv_sqrt_log_rule(), 86, search_cap=10**20).phi[-1]
         assert 2**62 < top < 2**63
 
+    def test_search_cap_past_the_float_range(self):
+        # level 2 of power:1e-4 needs a horizon of about 1e511; the probe
+        # used to end in an OverflowError converting it to a float
+        with pytest.raises(ValueError, match=r"level 2 needs the horizon .* limit 2\*\*63 - 1"):
+            synthesize_layer_params(power_rule(1e-4), 2, 10**600)
+
+    def test_search_stops_at_int64_without_moving_a_horizon(self):
+        ladder = synthesize_layer_params(inv_sqrt_log_rule(), 86, search_cap=10**600).phi
+        assert ladder.tolist() == synthesize_layer_params(
+            inv_sqrt_log_rule(), 86, search_cap=2**63 - 1).phi.tolist()
+
+    def test_search_cap_past_int64_never_evaluates_the_floor_there(self):
+        # b(2**63 - 1) = 2**(-63 * 20) underflows to 0.0, which the search
+        # rejects; the ladder 13, 14, 15 never needs the floor out there
+        ladder = synthesize_layer_params(power_rule(20.0), 3, search_cap=10**20).phi
+        assert ladder.tolist() == synthesize_layer_params(power_rule(20.0), 3).phi.tolist()
+
     def test_level_ceiling(self):
         # checked before any horizon is searched, so the slow rule never runs
         assert synthesize_layer_params(power_rule(10.0), 100).level_count == 100
         never = lambda n: pytest.fail("a horizon was searched")
         with pytest.raises(ValueError, match="101 levels exceed 100, the most supported"):
             synthesize_layer_params(never, 101)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drops=st.lists(st.integers(1, 70), max_size=5), start=st.integers(1, 70),
+           cap=st.integers(0, 70), target=st.floats(0.01, 1.5))
+    @example(drops=[], start=5, cap=5, target=0.5)  # start at the cap
+    @example(drops=[], start=3, cap=9, target=0.5)  # decays too slowly
+    @example(drops=[4], start=2, cap=9, target=0.5)  # the answer sits just past a probe
+    def test_smallest_horizon_is_the_first_of_a_scan(self, drops, start, cap, target):
+        # a non-increasing step rule: b(m) = 1/(1 + the drops at or below m)
+        rule = lambda m: 1.0 / (1 + sum(d <= m for d in drops))
+        first = next((m for m in range(start, cap + 1) if rule(m) ** 2 < target), None)
+        if first is not None:
+            assert _smallest_horizon(rule, target, start, cap) == first
+            return
+        message = f"no admissible horizon at or below the search cap {cap}"
+        if start < cap:
+            message += "; the floor sequence decays too slowly"
+        with pytest.raises(ValueError) as info:
+            _smallest_horizon(rule, target, start, cap)
+        assert str(info.value) == message
 
     def test_power_rule_floor(self):
         pr = synthesize_layer_params(power_rule(0.25), 3)

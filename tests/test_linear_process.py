@@ -8,14 +8,12 @@ import pytest
 
 from mgapprox import (
     CoefficientSeries,
-    LinearProcessSpec,
     approximation_gap,
     best_scalar_gap,
-    empirical_autocovariance,
-    simulate_path,
     substream,
     sum_norm_sq,
 )
+from oracles import LinearProcessSpec, empirical_autocovariance, simulate_path
 
 DELTA = CoefficientSeries(np.array([1.0]))
 HALF = CoefficientSeries(np.array([1.0, 1.0]) / math.sqrt(2.0))
