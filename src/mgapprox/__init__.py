@@ -10,10 +10,11 @@ identities on an exhaustively enumerated finite model.
 The public names are those in each module's ``__all__``, re-exported here.
 Importing the package loads none of its modules (PEP 562): the first access
 to a public name, a library module, ``__all__`` or ``dir()`` imports all
-seven modules and binds their public names here.  The command line binds,
+six modules and binds their public names here.  The command line binds,
 with the same ``_bind``, the public names of only the modules of the
-command it runs.  ``__version__`` and ``DEFAULT_SEARCH_CAP`` are defined
-here, so that it can echo them without loading a library module.
+command it runs.  ``__version__``, ``DEFAULT_SEARCH_CAP`` and
+``InvariantViolation`` are defined here, so that it can echo the first two
+and report the third without loading a library module.
 """
 
 import importlib
@@ -24,7 +25,18 @@ __version__ = "0.1.0"
 # default of prop3's --search-cap.
 DEFAULT_SEARCH_CAP = 10**6
 
-_MODULES = ("errors", "exact_model", "inner", "layered_process", "linear_process", "rng", "series")
+
+class InvariantViolation(RuntimeError):
+    """A quantity guaranteed by construction failed its bound check.
+
+    Raised by the self-auditing report builders (midpoint bounds, decoding
+    tables, parameter synthesis).  The guarded inequalities hold with margin
+    in exact arithmetic, so seeing this exception means an implementation
+    bug or corrupted input, never a property of the mathematics under study.
+    """
+
+
+_MODULES = ("exact_model", "inner", "layered_process", "linear_process", "rng", "series")
 
 
 def _bind(modules: tuple[str, ...], names: dict) -> None:
@@ -41,7 +53,7 @@ def _load() -> None:
     names = globals()
     _bind(_MODULES, names)
     names["__all__"] = [*(name for module in _MODULES for name in names[module].__all__),
-                        "__version__"]
+                        "InvariantViolation", "__version__"]
 
 
 def __getattr__(name: str):

@@ -49,8 +49,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import DEFAULT_SEARCH_CAP, __version__, _bind
-from .errors import InvariantViolation
+from . import DEFAULT_SEARCH_CAP, InvariantViolation, __version__, _bind
 
 if TYPE_CHECKING:
     import argparse

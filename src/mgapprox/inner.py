@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvariantViolation
+from . import InvariantViolation
 from .series import CoefficientSeries, _Built
 # not called here; perfbench/tracer.py wraps this name in this module
 from .series import cauchy_product  # noqa: F401
@@ -383,7 +383,9 @@ def dyadic_midpoint_report(level: int, k_max: int) -> DyadicMidpointReport:
     p2 >= 1/8, p3 >= 1/8 and p1, p4 >= prod (1-2^-k)/(1+2^-k), so
     |B(r)| >= c^2/64 even though B vanishes at every zero.  Violations raise
     InvariantViolation: the inequalities hold with margin, so a failure
-    means a bug, not a property of the product.
+    means a bug, not a property of the product.  From level 52 on the two
+    zeros are adjacent doubles with no midpoint between them, which raises
+    ValueError.
     """
     level = int(level)
     k_max = int(k_max)
@@ -391,6 +393,9 @@ def dyadic_midpoint_report(level: int, k_max: int) -> DyadicMidpointReport:
         raise ValueError("need 1 <= level and level + 1 <= k_max")
     spec = BlaschkeSpec.dyadic(k_max)
     z = spec.zeros
+    if np.nextafter(z[level - 1], 1.0) == z[level]:
+        raise ValueError(f"no double lies strictly between zeros {level} and {level + 1}, "
+                         f"so level {level} has no midpoint")
     r = 0.5 * (z[level - 1] + z[level])
 
     below = z[: level - 1]

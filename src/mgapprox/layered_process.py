@@ -46,8 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import DEFAULT_SEARCH_CAP
-from .errors import InvariantViolation
+from . import DEFAULT_SEARCH_CAP, InvariantViolation
 from .rng import substream, substream_uniforms
 
 __all__ = [
@@ -199,7 +198,7 @@ def _smallest_horizon(
     def ok(m: int) -> bool:
         bm = float(b_rule(m))
         if not bm > 0.0:
-            raise ValueError("the floor sequence must stay strictly positive")
+            raise ValueError(f"the floor sequence must stay strictly positive; b({m}) = {bm!r}")
         return bm * bm < target
 
     if start <= cap and ok(start):

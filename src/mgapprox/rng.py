@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvariantViolation
+from . import InvariantViolation
 
 __all__ = ["substream", "substream_uniforms"]
 

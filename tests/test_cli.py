@@ -1033,6 +1033,19 @@ class TestExitStatus:
         assert "error: ValueError: " in err and message in err
         assert os.listdir() == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (("prop6", "--n-range", "52..52", "--k-max", "53"),
+         "no double lies strictly between zeros 52 and 53, so level 52 has no midpoint"),
+        (("prop3", "--K", "2", "--b-rule", "power:400"),
+         "the floor sequence must stay strictly positive; b(13) = 0.0"),
+    ], ids=["prop6-midpoint", "prop3-floor-underflow"])
+    def test_double_precision_limit_in_the_domain(self, argv, message, capsys):
+        # prop6 used to exit 3 on a midpoint rounded onto zero 52, and prop3
+        # to name neither the horizon nor the floor that underflowed
+        assert run(*argv) == 1
+        assert without_wall_time(capsys.readouterr().err) == f"error: ValueError: {message}\n"
+        assert os.listdir() == []
+
     def test_search_cap_below_first_horizon(self, capsys):
         assert run("prop3", "--K", "2", "--search-cap", "0") == 1
         assert "search cap" in capsys.readouterr().err
@@ -1322,18 +1335,18 @@ class TestEntry:
         assert got[:2] == self.outcome(tmp_path, self.ORACLE, argv)[:2]
 
     @pytest.mark.parametrize("argv, loaded, by_argparse", [
-        (["inner", "--trunc", "5"], {"errors", "inner", "series"}, False),
-        (["inner", "--trunc", str(_ROW_BLOCK)], {"_text", "errors", "inner", "series"}, False),
+        (["inner", "--trunc", "5"], {"inner", "series"}, False),
+        (["inner", "--trunc", str(_ROW_BLOCK)], {"_text", "inner", "series"}, False),
         (["inner", "--kind", "blaschke", "--factors", "3", "--trunc", "5000"],
-         {"errors", "inner", "series"}, False),
-        (["cesaro", "--trunc", "5"], {"errors", "inner", "series"}, False),
-        (["gap", "--trunc", "50"], {"errors", "inner", "linear_process", "series"}, False),
+         {"inner", "series"}, False),
+        (["cesaro", "--trunc", "5"], {"inner", "series"}, False),
+        (["gap", "--trunc", "50"], {"inner", "linear_process", "series"}, False),
         (["gap", "--fac", "9", "--trunc", "50"],
-         {"errors", "inner", "linear_process", "series"}, True),
-        (["prop6"], {"errors", "inner", "series"}, False),
-        (["prop3", "--K", "4", "--samples", "20"], {"errors", "layered_process", "rng"}, False),
-        (["prop2", "--depth", "2"], {"errors", "exact_model"}, False),
-        (["-h"], {"errors"}, True),
+         {"inner", "linear_process", "series"}, True),
+        (["prop6"], {"inner", "series"}, False),
+        (["prop3", "--K", "4", "--samples", "20"], {"layered_process", "rng"}, False),
+        (["prop2", "--depth", "2"], {"exact_model"}, False),
+        (["-h"], set(), True),
     ], ids=["inner", "inner-text-blocks", "inner-blaschke-rows", "cesaro", "gap",
             "gap-abbreviated", "prop6", "prop3", "prop2", "help"])
     def test_each_command_loads_only_its_modules(self, tmp_path, argv, loaded, by_argparse):

@@ -74,11 +74,11 @@ _DOMAINS = {
                  st.one_of(st.just(""), st.tuples(_horizons(_HORIZON, max_size=3), _BAD_HORIZON)
                            .map(lambda pair: ",".join(filter(None, map(str, pair)))))),
     "c": (_floats(allow_nan=False, allow_infinity=False), st.sampled_from(["nan", "inf", "-inf"])),
-    "n-range": (st.tuples(st.integers(1, 12), st.integers(0, 12)).map(
+    "n-range": (st.tuples(st.integers(1, 53), st.integers(0, 12)).map(
                     lambda pair: f"{pair[0]}..{pair[0] + pair[1]}"),
                 st.one_of(st.integers(-2, 0).map(lambda lo: f"{lo}..5"),
                           st.integers(2, 12).map(lambda lo: f"{lo}..{lo - 1}"))),
-    "k-max": (_ints(1, 60), None),
+    "k-max": (_ints(1, 66), None),
     "K": (_ints(2, 8), _ints(-1, 1)),
     "b-rule": (st.one_of(st.just("invsqrtlog"), _POSITIVE.map("power:".__add__)),
                st.one_of(st.sampled_from(["power", "power:", "power:x", "invsqrtlog:", "log"]),
@@ -143,7 +143,22 @@ def _run(argv: list[str], config: str) -> tuple[int, list[str], dict[str, bytes]
     return status, lines, files
 
 
-_PREFIX = {1: "error: ", 2: "usage error: ", 3: "invariant violation: "}
+_PREFIX = {1: "error: ValueError: ", 2: "usage error: "}
+
+
+def _check_status(argv: list[str], config: str, usage: bool) -> None:
+    status, lines, files = _run(argv, config)
+    if usage:
+        assert status == 2, (argv, config, lines)
+    else:
+        assert status in (0, 1), (argv, config, lines)
+    if status:
+        assert len(lines) == 1 and lines[0].startswith(_PREFIX[status]), lines
+        assert "Traceback" not in lines[0]
+        assert files == {}
+    else:
+        assert lines == [] and files
+        assert _run(argv, config) == (0, [], files)
 
 
 # Per command, one case with every value inside its domain and one per
@@ -158,19 +173,17 @@ _CASES = [(command, refused) for command in sorted(_COMMANDS)
 @settings(deadline=None, max_examples=12)
 @given(data=st.data())
 def test_exit_status_follows_the_domains(command, refused, data):
-    argv, config, usage = data.draw(invocations(command, refused))
-    status, lines, files = _run(argv, config)
-    if usage:
-        assert status == 2, (argv, config, lines)
-    else:
-        assert status in (0, 1, 3), (argv, config, lines)
-    if status:
-        assert len(lines) == 1 and lines[0].startswith(_PREFIX[status]), lines
-        assert "Traceback" not in lines[0]
-        assert files == {}
-    else:
-        assert lines == [] and files
-        assert _run(argv, config) == (0, [], files)
+    """A value outside its domain exits 2; values inside every domain exit
+    0, or 1 for a documented limit, which the library raises as ValueError,
+    and never 3."""
+    _check_status(*data.draw(invocations(command, refused)))
+
+
+# the levels from 52 on, whose dyadic zeros are adjacent doubles
+@pytest.mark.parametrize("argv", [["prop6", "--n-range", "52..52", "--k-max", "53"],
+                                  ["prop6", "--n-range", "1..52", "--k-max", "53"]])
+def test_exit_status_at_the_dyadic_zero_limit(argv):
+    _check_status(argv, "", False)
 
 
 def test_every_option_has_values_drawn():

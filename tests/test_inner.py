@@ -473,6 +473,13 @@ class TestDyadicMidpointBounds:
         for level in range(1, 21):
             dyadic_midpoint_report(level, 40)
 
+    def test_adjacent_zeros_have_no_midpoint(self):
+        # zeros 52 and 53 are adjacent doubles: the midpoint used to round
+        # onto zero 52 and fail p2's floor as an InvariantViolation
+        assert dyadic_midpoint_report(51, 53).p2 >= 0.125
+        with pytest.raises(ValueError, match="zeros 52 and 53, so level 52 has no midpoint"):
+            dyadic_midpoint_report(52, 53)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dyadic_midpoint_report(0, 40)

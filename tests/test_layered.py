@@ -196,6 +196,11 @@ class TestSynthesis:
         # admissible horizons, so phi is consecutive from 13.
         assert pr.phi.tolist() == [13, 14, 15]
 
+    def test_floor_underflow_names_the_horizon(self):
+        # power:400 lies in the domain, but 13.0 ** -400 underflows to 0.0
+        with pytest.raises(ValueError, match=r"strictly positive; b\(13\) = 0\.0$"):
+            synthesize_layer_params(power_rule(400.0), 2)
+
     def test_power_rule_validation(self):
         with pytest.raises(ValueError):
             power_rule(0.0)

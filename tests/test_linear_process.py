@@ -13,7 +13,7 @@ from mgapprox import (
     substream,
     sum_norm_sq,
 )
-from oracles import LinearProcessSpec, empirical_autocovariance, simulate_path
+from oracles import empirical_autocovariance, simulate_path
 
 DELTA = CoefficientSeries(np.array([1.0]))
 HALF = CoefficientSeries(np.array([1.0, 1.0]) / math.sqrt(2.0))
@@ -134,74 +134,46 @@ class TestGapReports:
 
 class TestSimulatePath:
     def test_deterministic_per_seed_and_replicate(self):
-        spec = LinearProcessSpec(HALF, seed=5)
-        a = simulate_path(spec, 64, replicate=3)
-        b = simulate_path(spec, 64, replicate=3)
-        c = simulate_path(spec, 64, replicate=4)
+        a = simulate_path(HALF.coeffs, 64, 5, replicate=3)
+        b = simulate_path(HALF.coeffs, 64, 5, replicate=3)
+        c = simulate_path(HALF.coeffs, 64, 5, replicate=4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_delta_path_reproduces_innovations(self):
-        spec = LinearProcessSpec(DELTA, seed=11)
-        path = simulate_path(spec, 32, replicate=2)
-        assert np.array_equal(path, substream(11, 2).standard_normal(32))
-
-    def test_burn_in_shifts_the_innovation_window(self):
-        spec = LinearProcessSpec(DELTA, seed=11)
-        path = simulate_path(spec, 16, burn_in=5)
-        assert np.array_equal(path, substream(11, 0).standard_normal(21)[5:])
+    @pytest.mark.parametrize("rademacher", [False, True])
+    def test_delta_path_reproduces_innovations(self, rademacher):
+        rng = substream(11, 2)
+        draws = rng.integers(0, 2, size=32) * 2.0 - 1.0 if rademacher else rng.standard_normal(32)
+        path = simulate_path(DELTA.coeffs, 32, 11, 2, rademacher=rademacher)
+        assert np.array_equal(path, draws)
 
     def test_rademacher_values(self):
-        spec = LinearProcessSpec(DELTA, innovation_kind="rademacher", seed=1)
-        path = simulate_path(spec, 256)
-        assert set(np.unique(path)) <= {-1.0, 1.0}
+        path = simulate_path(DELTA.coeffs, 256, 1, rademacher=True)
+        assert set(np.unique(path)) == {-1.0, 1.0}
 
-    def test_short_burn_in_flagged(self):
-        spec = LinearProcessSpec(HALF)
-        with pytest.warns(RuntimeWarning):
-            simulate_path(spec, 8, burn_in=0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearProcessSpec(HALF, innovation_kind="uniform")
-        with pytest.raises(ValueError):
-            LinearProcessSpec(CoefficientSeries(np.array([0.0])))
-        spec = LinearProcessSpec(HALF)
-        with pytest.raises(ValueError):
-            simulate_path(spec, 0)
-        with pytest.raises(ValueError):
-            simulate_path(spec, 4, burn_in=-1)
-
-    @pytest.mark.parametrize("burn_in", [0, 1, 25, 49, 50, 51, 120])
-    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
-    def test_valid_convolution_matches_the_full_slice(self, burn_in, kind):
-        # the full convolution, sliced, is the oracle; with the whole window
-        # burnt in the paths agree bit for bit
+    @pytest.mark.parametrize("rademacher", [False, True])
+    def test_valid_convolution_matches_the_full_slice(self, rademacher):
+        # the full convolution of the drawn innovations, sliced from the
+        # first lag with the whole window drawn, is the oracle
         coeffs = np.random.default_rng(5).standard_normal(51)
-        spec = LinearProcessSpec(CoefficientSeries(coeffs), kind, seed=9)
+        order = coeffs.size - 1
         for n in (1, 2, 37):
             rng = substream(9, 2)
-            if kind == "gaussian":
-                innov = rng.standard_normal(burn_in + n)
+            size = order + n
+            if rademacher:
+                draws = rng.integers(0, 2, size=size) * 2.0 - 1.0
             else:
-                innov = rng.integers(0, 2, size=burn_in + n).astype(float) * 2.0 - 1.0
-            oracle = np.convolve(innov, coeffs)[burn_in : burn_in + n]
-            if burn_in >= 50:
-                path = simulate_path(spec, n, burn_in=burn_in, replicate=2)
-                assert np.array_equal(path, oracle)
-            else:
-                with pytest.warns(RuntimeWarning, match="burn_in"):
-                    path = simulate_path(spec, n, burn_in=burn_in, replicate=2)
-                assert path.shape == oracle.shape
-                assert np.allclose(path, oracle, rtol=0.0, atol=1e-13)
+                draws = rng.standard_normal(size)
+            path = simulate_path(coeffs, n, 9, 2, rademacher=rademacher)
+            assert np.array_equal(path, np.convolve(draws, coeffs)[order : order + n])
 
     def test_window_variance_matches_stored_kernel(self, unit_singular_series):
         # 200 replicates put the MC estimate within a few percent of the
         # stored-prefix window norm (frozen run at this seed: -6.7%).
         n = 10**3
-        spec = LinearProcessSpec(unit_singular_series, "rademacher", seed=11)
+        coeffs = unit_singular_series.coeffs
         sums = np.array(
-            [simulate_path(spec, n, replicate=r).sum() for r in range(200)]
+            [simulate_path(coeffs, n, 11, r, rademacher=True).sum() for r in range(200)]
         )
         exact = sum_norm_sq(unit_singular_series, n)
         assert abs(np.var(sums) - exact) <= 0.15 * exact
@@ -221,25 +193,14 @@ class TestEmpiricalAutocovariance:
         assert empirical_autocovariance(path, 3) == 0.0
 
     def test_iid_unit_variance(self):
-        path = simulate_path(
-            LinearProcessSpec(DELTA, "rademacher", seed=3), 4096
-        )
+        path = simulate_path(DELTA.coeffs, 4096, 3, rademacher=True)
         assert empirical_autocovariance(path, 0) == pytest.approx(1.0, abs=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_autocovariance(np.array([]), 0)
-        with pytest.raises(ValueError):
-            empirical_autocovariance(np.ones(4), 4)
-        with pytest.raises(ValueError):
-            empirical_autocovariance(np.ones(4), -1)
 
     def test_near_white_sample_spectrum(self, unit_singular_series):
         # The underlying process is white; sampling the truncated kernel
         # keeps lag-k covariances within sampling noise plus tail leakage.
         n = 10**4
-        spec = LinearProcessSpec(unit_singular_series, seed=0)
-        path = simulate_path(spec, n)
+        path = simulate_path(unit_singular_series.coeffs, n, 0)
         tol = 3.0 / math.sqrt(n) + 2.0 * math.sqrt(
             unit_singular_series.tail_mass_bound
         )

@@ -1,6 +1,8 @@
 """The package facade: mgapprox re-exports every module's public names,
-loading its modules on first use."""
+loading its modules on first use; and no module imports a name it never
+reads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -47,7 +49,7 @@ def test_all_is_the_module_lists():
     assert len(names) == len(set(names))
     assert set(names) - set(EXPORTED) == {"Label", "RADIAL_LIMIT_FACTORS", "substream_uniforms",
                                           "digit_values", "decode_digit_values"}
-    modules = [mgapprox.errors, mgapprox.exact_model, mgapprox.inner, mgapprox.layered_process,
+    modules = [mgapprox.exact_model, mgapprox.inner, mgapprox.layered_process,
                mgapprox.linear_process, mgapprox.rng, mgapprox.series]
     for module in modules:
         for name in module.__all__:
@@ -80,9 +82,9 @@ def test_import_loads_no_module():
     assert fresh(f"import json, sys, mgapprox; print(json.dumps({LOADED}))") == []
 
 
-def test_importing_cli_loads_only_errors():
+def test_importing_cli_loads_no_library_module():
     assert fresh(f"import json, sys; from mgapprox import cli; print(json.dumps({LOADED}))") == [
-        "mgapprox.cli", "mgapprox.errors"]
+        "mgapprox.cli"]
 
 
 def test_linear_process_loads_no_rng():
@@ -92,9 +94,8 @@ def test_linear_process_loads_no_rng():
 
 def test_first_name_loads_every_module():
     loaded = fresh(f"import json, sys, mgapprox; mgapprox.substream; print(json.dumps({LOADED}))")
-    assert loaded == [f"mgapprox.{m}" for m in ("errors", "exact_model", "inner",
-                                                  "layered_process", "linear_process", "rng",
-                                                  "series")]
+    assert loaded == [f"mgapprox.{m}" for m in ("exact_model", "inner", "layered_process",
+                                                  "linear_process", "rng", "series")]
 
 
 def test_dir_covers_all():
@@ -114,3 +115,23 @@ def test_star_import_binds_every_exported_name():
 def test_unknown_attribute_raises(name):
     with pytest.raises(AttributeError, match=name):
         getattr(mgapprox, name)
+
+
+@pytest.mark.parametrize("path", [*sorted((ROOT / "src" / "mgapprox").glob("*.py")),
+                                  ROOT / "tests" / "oracles.py"], ids=lambda path: path.name)
+def test_every_imported_name_is_read(path):
+    """A deletion can leave an import behind: every name an import binds is
+    read in its module, but `from __future__ import annotations` and the
+    names of an import marked # noqa: F401."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and "# noqa: F401" not in "\n".join(lines[node.lineno - 1:node.end_lineno])):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(bound - read) == []
