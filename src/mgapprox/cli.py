@@ -559,12 +559,8 @@ def _metadata(cfg: dict) -> dict:
 
 
 def _stem(cfg: dict) -> str:
-    stem = cfg["out_path"] or cfg["command"]
-    if not os.path.isabs(stem):
-        base = os.environ.get(OUT_DIR_ENV, "")
-        if base:
-            stem = os.path.join(base, stem)
-    return stem
+    # join drops an empty base and keeps an absolute stem as it is
+    return os.path.join(os.environ.get(OUT_DIR_ENV, ""), cfg["out_path"] or cfg["command"])
 
 
 # ---------------------------------------------------------------------------

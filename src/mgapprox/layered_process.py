@@ -40,7 +40,6 @@ from decimal import (
     Overflow,
     localcontext,
 )
-from functools import lru_cache
 from itertools import product
 from typing import Callable
 
@@ -114,24 +113,20 @@ def _context(prec: int) -> Context:
     )
 
 
-# Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator)
-_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
+_ZETA_2 = Decimal("1.6449340668482264364724151666460251892189499012068")  # pi^2/6
+_TAILS: list[Decimal] = []  # _TAILS[j] = sum_{k > j} 1/k^2 in 40 digits, grown on demand
 
 
-@lru_cache(maxsize=None)
 def _tail_inverse_squares(j: int) -> float:
-    """sum_{k > j} 1/k^2, the trigamma function at j + 1: the terms k < j + 20
-    directly, the rest by the Euler-Maclaurin series at m = j + 20,
-    psi_1(m) ~ 1/m + 1/(2 m^2) + sum_i B_2i / m^(2i+1), in 40 digits."""
-    m = j + 20
+    """sum_{k > j} 1/k^2, the trigamma function at j + 1, as zeta(2) = pi^2/6
+    less the first j terms, in 40 digits.  The tails found so far are kept,
+    so each new j costs one subtraction per term not yet taken off."""
     with localcontext(_context(40)):
-        head = sum(1 / Decimal(k * k) for k in range(j + 1, m))
-        inv = 1 / Decimal(m)
-        series = inv + inv * inv / 2 + sum(
-            Decimal(num) / den * inv ** (2 * i + 1)
-            for i, (num, den) in enumerate(_BERNOULLI, 1)
-        )
-        return float(head + series)
+        if not _TAILS:
+            _TAILS.append(+_ZETA_2)  # rounded to 40 digits
+        for k in range(len(_TAILS), j + 1):
+            _TAILS.append(_TAILS[-1] - 1 / Decimal(k * k))
+    return float(_TAILS[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,10 +185,11 @@ class LayerParams:
 
 def _smallest_horizon(
     b_rule: Callable[[int], float], target: float, start: int, cap: int
-) -> int:
-    """Smallest m >= start with b(m)^2 < target; b is non-increasing, so the
-    predicate is monotone: an exponential probe brackets the answer in
-    (lo, m], and bisection finds it there."""
+) -> int | None:
+    """Smallest m in [start, cap] with b(m)^2 < target, or None if there is
+    none; b is non-increasing, so the predicate is monotone: probes at
+    start, start + 1, start + 3, ... up to cap bracket the answer in
+    (lo, m], and bisection finds it there.  A floor b(m) <= 0 raises."""
 
     def ok(m: int) -> bool:
         bm = float(b_rule(m))
@@ -201,22 +197,14 @@ def _smallest_horizon(
             raise ValueError(f"the floor sequence must stay strictly positive; b({m}) = {bm!r}")
         return bm * bm < target
 
-    if start <= cap and ok(start):
-        return start
-    if start >= cap:
-        raise ValueError(f"no admissible horizon at or below the search cap {cap}")
-    lo = m = start
-    step = 1
-    while True:
-        m = min(cap, m + step)
-        if ok(m):
-            return lo + 1 + bisect_left(range(lo + 1, m), True, key=ok)
-        if m >= cap:
-            raise ValueError(
-                f"no admissible horizon at or below the search cap {cap}; "
-                "the floor sequence decays too slowly"
-            )
-        lo, step = m, 2 * step
+    if start > cap:
+        return None
+    lo, m, step = start - 1, start, 1
+    while not ok(m):
+        if m == cap:
+            return None
+        lo, m, step = m, min(cap, m + step), 2 * step
+    return lo + 1 + bisect_left(range(lo + 1, m), True, key=ok)
 
 
 def synthesize_layer_params(
@@ -239,19 +227,20 @@ def synthesize_layer_params(
     if level_count > _MAX_LEVELS:
         raise ValueError(f"{level_count} levels exceed {_MAX_LEVELS}, the most supported")
     search_cap = int(search_cap)
-    limit = min(search_cap, _INT64_MAX)
 
-    phi, prev = [], 12
+    phi = []
     for j in range(1, level_count + 1):
-        target = 2.0 * _tail_inverse_squares(j)
-        try:
-            prev = _smallest_horizon(b_rule, target, prev + 1, limit)
-        except ValueError as exc:
-            if search_cap > limit and str(exc).startswith("no admissible horizon"):
+        start = phi[-1] + 1 if phi else 13
+        horizon = _smallest_horizon(
+            b_rule, 2.0 * _tail_inverse_squares(j), start, min(search_cap, _INT64_MAX))
+        if horizon is None:
+            if search_cap > _INT64_MAX:
                 raise ValueError(f"level {j} needs the horizon to exceed the int64 "
-                                 "limit 2**63 - 1 of the horizon ladder") from None
-            raise
-        phi.append(prev)
+                                 "limit 2**63 - 1 of the horizon ladder")
+            slow = "; the floor sequence decays too slowly" if start < search_cap else ""
+            raise ValueError(f"no admissible horizon at or below the search cap {search_cap}"
+                             + slow)
+        phi.append(horizon)
     return LayerParams(phi=np.array(phi, dtype=np.int64),
                        b_at_phi=np.array([float(b_rule(m)) for m in phi]))
 
@@ -428,8 +417,9 @@ class LayerCodec:
             _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
         ]
         self._centers = [centers for centers, _ in levels]  # one {outcome: center} per level
-        self._reach = [half for _, half in levels[1:]]  # _reach[l - 2] = r_{l-1}
-        self._level_one_tol = self._context.divide(Decimal(float(params.rho[0])), 4)
+        # _half[l - 1]: level l matches within r_{l-1}, level 1 within rho_1 / 4
+        self._half = [self._context.divide(Decimal(float(params.rho[0])), 4)]
+        self._half += [half for _, half in levels[1:]]
 
     def encode(self, x_signs, y_signs) -> Decimal:
         """Value of the time-zero sum for explicit level outcomes, as a Decimal
@@ -449,12 +439,12 @@ class LayerCodec:
         """Read all level outcomes off a value, top level first.
 
         ``value`` is an int, float, str or Decimal, converted exactly; NaN,
-        +-inf and malformed strings raise ValueError.  At level l >= 2 the
-        value must fall strictly inside one of the nine intervals of
-        half-width r_{l-1}; hitting an endpoint exactly is reported as a
-        boundary outcome, matching nothing as a failure.  Level 1 matches
-        the nearest of its nine isolated centers within a quarter of their
-        minimal spacing.
+        +-inf and malformed strings raise ValueError.  Each level from K
+        down to 1 takes its nearest center, which must lie closer than the
+        half-width r_{l-1} (sorted centers lie 2 r_{l-1} apart, so no other
+        can), or than rho_1/4 at level 1, whose centers lie rho_1 apart.  At
+        l >= 2 a distance of exactly r_{l-1} is a boundary outcome; any
+        other miss fails at that level.
         """
         k = self.params.level_count
         xs = [0] * k
@@ -466,27 +456,16 @@ class LayerCodec:
                 raise ValueError(f"cannot decode {value!r}: not a number") from exc
             if not residual.is_finite():
                 raise ValueError(f"cannot decode the non-finite value {value!r}")
-            for lvl in range(k, 1, -1):
-                half = self._reach[lvl - 2]
-                hit = None
-                for outcome, center in self._centers[lvl - 1].items():
-                    dist = abs(residual - center)
-                    if dist < half:
-                        hit = (outcome, center)
-                        break
-                    if dist == half:
-                        return DecodedSample(
-                            tuple(xs), tuple(ys), ok=False, boundary=True, fail_level=lvl
-                        )
-                if hit is None:
-                    return DecodedSample(tuple(xs), tuple(ys), ok=False, fail_level=lvl)
-                (xs[lvl - 1], ys[lvl - 1]), center = hit
+            for lvl in range(k, 0, -1):
+                cells = self._centers[lvl - 1].items()
+                dist, outcome, center = min((abs(residual - c), o, c) for o, c in cells)
+                half = self._half[lvl - 1]
+                if not dist < half:
+                    return DecodedSample(tuple(xs), tuple(ys), ok=False,
+                                         boundary=lvl > 1 and dist == half, fail_level=lvl)
+                xs[lvl - 1], ys[lvl - 1] = outcome
                 residual -= center
-            for outcome, center in self._centers[0].items():
-                if abs(residual - center) < self._level_one_tol:
-                    xs[0], ys[0] = outcome
-                    return DecodedSample(tuple(xs), tuple(ys), ok=True)
-        return DecodedSample(tuple(xs), tuple(ys), ok=False, fail_level=1)
+        return DecodedSample(tuple(xs), tuple(ys), ok=True)
 
 
 @dataclass(frozen=True)

@@ -134,11 +134,8 @@ def cauchy_product(s1: CoefficientSeries, s2: CoefficientSeries, n: int) -> Coef
 def cesaro_profile(s: CoefficientSeries) -> CesaroProfile:
     """Partial sums A_n = a_0 + .. + a_n and means M_n = (A_0 + .. + A_{n-1})/n."""
     partial = np.cumsum(s.coeffs)
-    if s.order >= 1:
-        means = np.cumsum(partial[: s.order])
-        means /= np.arange(1.0, s.order + 1.0)
-    else:
-        means = np.empty(0)
+    means = np.cumsum(partial[: s.order])
+    means /= np.arange(1.0, s.order + 1.0)
     return CesaroProfile(_Built(partial), _Built(means))
 
 

@@ -13,10 +13,13 @@ spelling that ``_parse`` hands it.
 """
 
 import contextlib
+import csv
 import functools
 import io
+import math
 import os
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -56,7 +59,7 @@ def _horizons(entries: st.SearchStrategy, **size) -> st.SearchStrategy:
 _POSITIVE = _floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _NOT_POSITIVE = st.one_of(st.sampled_from(["0.0", "-0.0", "nan", "inf", "-inf"]),
                           _floats(max_value=0.0))
-_HORIZON = st.one_of(st.integers(1, 10**4), st.just(10**300))
+_HORIZON = st.one_of(st.integers(1, 10**4), st.integers(1, 10**300))
 _BAD_HORIZON = st.one_of(st.integers(-2, 0), st.sampled_from([10**300 + 1, 10**400]))
 
 # Every option a command takes but --out-path and --config: argument texts
@@ -84,7 +87,7 @@ _DOMAINS = {
                st.one_of(st.sampled_from(["power", "power:", "power:x", "invsqrtlog:", "log"]),
                          _NOT_POSITIVE.map("power:".__add__))),
     "samples": (_ints(1, 300), _ints(-2, 0)),
-    "search-cap": (_ints(0, 10**30), None),
+    "search-cap": (_ints(0, 10**1000), None),
     "depth": (_ints(1, 6), st.sampled_from(["-1", "0", "7"])),
 }
 
@@ -146,7 +149,19 @@ def _run(argv: list[str], config: str) -> tuple[int, list[str], dict[str, bytes]
 _PREFIX = {1: "error: ValueError: ", 2: "usage error: "}
 
 
-def _check_status(argv: list[str], config: str, usage: bool) -> None:
+def _non_finite_cells(files: dict[str, bytes]) -> list[tuple[str, str]]:
+    """(file, cell) for every CSV cell, or ';'-joined entry of one, that
+    reads as nan or an infinity."""
+    found = []
+    for name, data in files.items():
+        if name.endswith(".csv"):
+            for row in csv.reader(io.StringIO(data.decode("utf-8"))):
+                found += [(name, cell) for cell in row for part in cell.split(";")
+                          if _number(part) and not math.isfinite(float(part))]
+    return found
+
+
+def _check_status(argv: list[str], config: str, usage: bool) -> int:
     status, lines, files = _run(argv, config)
     if usage:
         assert status == 2, (argv, config, lines)
@@ -158,7 +173,9 @@ def _check_status(argv: list[str], config: str, usage: bool) -> None:
         assert files == {}
     else:
         assert lines == [] and files
+        assert _non_finite_cells(files) == [], argv
         assert _run(argv, config) == (0, [], files)
+    return status
 
 
 # Per command, one case with every value inside its domain and one per
@@ -184,6 +201,37 @@ def test_exit_status_follows_the_domains(command, refused, data):
                                   ["prop6", "--n-range", "1..52", "--k-max", "53"]])
 def test_exit_status_at_the_dyadic_zero_limit(argv):
     _check_status(argv, "", False)
+
+
+# level 2 of power:1e-4 needs a horizon of about 1e511, past what phi can
+# store; the search stops at 2**63 - 1 whatever the cap
+def test_exit_status_at_the_int64_horizon_limit():
+    argv = ["prop3", "--K", "2", "--b-rule", "power:0.0001", "--search-cap", str(10**1000)]
+    assert _check_status(argv, "", False) == 1
+
+
+# one step past each work ceiling, and the level ceiling itself, which the
+# drawn K stays far below: at K = 100, power:0.05 under a search cap of
+# 10**1000 takes seconds
+@pytest.mark.parametrize("argv, message", [
+    (["inner", "--trunc", "10000001"],
+     "truncation order 10000001 exceeds 1e+07, the most recurrence steps supported"),
+    (["cesaro", "--kind", "blaschke", "--factors", "1", "--trunc", "9999000"],
+     "1 factors at order 9999000 need 1e+07 steps (1000 per factor plus one per factor and "
+     "order); at most 1e+07 are supported"),
+    (["prop3", "--samples", "10000001"],
+     "10000001 samples exceed 1e+07, the most round trips supported"),
+    (["prop3", "--K", "101"], "101 levels exceed 100, the most supported"),
+], ids=["order", "blaschke-steps", "samples", "levels"])
+def test_one_step_past_each_work_ceiling(argv, message):
+    start = time.perf_counter()
+    assert _run(argv, "") == (1, ["error: ValueError: " + message], {})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_level_ceiling_runs():
+    assert _check_status(["prop3", "--K", "100", "--samples", "1", "--b-rule", "power:10"],
+                         "", False) == 0
 
 
 def test_every_option_has_values_drawn():

@@ -33,10 +33,20 @@ from mgapprox import (
 )
 import mgapprox.layered_process
 import mgapprox.rng
-from mgapprox.layered_process import _smallest_horizon, _tail_inverse_squares, _working_dps
+from mgapprox.layered_process import (
+    _TAILS,
+    _smallest_horizon,
+    _tail_inverse_squares,
+    _working_dps,
+)
 
 DECADES = tuple(10**j for j in range(7))
 OUTCOMES = list(itertools.product((-1, 0, 1), repeat=2))
+
+
+def _step_rule(drops):
+    """A non-increasing floor with steps: b(m) = 1/(1 + the drops at or below m)."""
+    return lambda m: 1.0 / (1 + sum(d <= m for d in drops))
 
 
 def forced_firings(level_count):
@@ -174,21 +184,39 @@ class TestSynthesis:
     @given(drops=st.lists(st.integers(1, 70), max_size=5), start=st.integers(1, 70),
            cap=st.integers(0, 70), target=st.floats(0.01, 1.5))
     @example(drops=[], start=5, cap=5, target=0.5)  # start at the cap
+    @example(drops=[], start=6, cap=5, target=0.5)  # start past the cap
     @example(drops=[], start=3, cap=9, target=0.5)  # decays too slowly
     @example(drops=[4], start=2, cap=9, target=0.5)  # the answer sits just past a probe
     def test_smallest_horizon_is_the_first_of_a_scan(self, drops, start, cap, target):
-        # a non-increasing step rule: b(m) = 1/(1 + the drops at or below m)
-        rule = lambda m: 1.0 / (1 + sum(d <= m for d in drops))
+        rule = _step_rule(drops)
         first = next((m for m in range(start, cap + 1) if rule(m) ** 2 < target), None)
-        if first is not None:
-            assert _smallest_horizon(rule, target, start, cap) == first
-            return
-        message = f"no admissible horizon at or below the search cap {cap}"
-        if start < cap:
-            message += "; the floor sequence decays too slowly"
-        with pytest.raises(ValueError) as info:
-            _smallest_horizon(rule, target, start, cap)
-        assert str(info.value) == message
+        assert _smallest_horizon(rule, target, start, cap) == first
+
+    @settings(max_examples=200, deadline=None)
+    @given(drops=st.lists(st.integers(1, 90), max_size=5), level_count=st.integers(2, 12),
+           cap=st.integers(0, 90))
+    @example(drops=[], level_count=2, cap=5)  # level 1 starts past the cap
+    @example(drops=[], level_count=2, cap=13)  # level 2 starts past the cap
+    @example(drops=[], level_count=2, cap=20)  # decays too slowly
+    def test_synthesis_words_the_cap_messages(self, drops, level_count, cap):
+        # the ladder of a scan from 13, or the message for the first level
+        # whose scan finds nothing at or below the cap
+        rule = _step_rule(drops)
+        phi = []
+        for j in range(1, level_count + 1):
+            start = phi[-1] + 1 if phi else 13
+            target = 2.0 * _tail_inverse_squares(j)
+            first = next((m for m in range(start, cap + 1) if rule(m) ** 2 < target), None)
+            if first is None:
+                message = f"no admissible horizon at or below the search cap {cap}"
+                if start < cap:
+                    message += "; the floor sequence decays too slowly"
+                with pytest.raises(ValueError) as info:
+                    synthesize_layer_params(rule, level_count, cap)
+                assert str(info.value) == message
+                return
+            phi.append(first)
+        assert synthesize_layer_params(rule, level_count, cap).phi.tolist() == phi
 
     def test_power_rule_floor(self):
         pr = synthesize_layer_params(power_rule(0.25), 3)
@@ -409,13 +437,13 @@ class TestLayerCodec:
         # The silent cell at the top level is centred at zero, so the
         # lower-level reach itself sits exactly on that cell's edge and the
         # decoder's distance test involves no rounding at all.
-        out = codec.decode(codec._reach[2])
+        out = codec.decode(codec._half[3])
         assert not out.ok and out.boundary and out.fail_level == 4
 
     def test_unmatched_value_reported(self, layer_params_k4):
         codec = LayerCodec(layer_params_k4)
         with decimal.localcontext(decimal.Context(prec=codec.dps)):
-            value = 2 * codec._reach[2]
+            value = 2 * codec._half[3]
         out = codec.decode(value)
         assert not out.ok and not out.boundary and out.fail_level == 4
 
@@ -440,7 +468,8 @@ class TestLayerCodec:
             for xs, ys in forced_firings(pr.level_count):
                 value = codec.encode(xs, ys)
                 trips.append((str(value), codec.decode(value)))
-            tails = [_tail_inverse_squares.__wrapped__(j) for j in range(1, 9)]
+            _TAILS.clear()  # the running table of tails is rebuilt in this context
+            tails = [_tail_inverse_squares(j) for j in range(1, 9)]
             return [(t.cells, t.half_width, t.log_half_width) for t in tables], trips, tails
 
         expected = run()

@@ -1,6 +1,6 @@
 """The package facade: mgapprox re-exports every module's public names,
-loading its modules on first use; and no module imports a name it never
-reads."""
+loading its modules on first use; and no module imports a name, or
+defines a private one, that it never reads."""
 
 import ast
 import json
@@ -117,8 +117,15 @@ def test_unknown_attribute_raises(name):
         getattr(mgapprox, name)
 
 
-@pytest.mark.parametrize("path", [*sorted((ROOT / "src" / "mgapprox").glob("*.py")),
-                                  ROOT / "tests" / "oracles.py"], ids=lambda path: path.name)
+SOURCES = [*sorted((ROOT / "src" / "mgapprox").glob("*.py")), ROOT / "tests" / "oracles.py"]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     """A deletion can leave an import behind: every name an import binds is
     read in its module, but `from __future__ import annotations` and the
@@ -132,6 +139,23 @@ def test_every_imported_name_is_read(path):
                 and getattr(node, "module", None) != "__future__"
                 and "# noqa: F401" not in "\n".join(lines[node.lineno - 1:node.end_lineno])):
             bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
-    read = {node.id for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    assert sorted(bound - read) == []
+    assert sorted(bound - _read_names(tree)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_top_level_name_is_read(path):
+    """A deletion can leave a helper or a constant behind: every _name that
+    a top-level assignment, def or class binds is read in its module, but
+    dunders and decorated functions, which their decorator registers."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not node.decorator_list:
+                defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)}
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - _read_names(tree)) == []
