@@ -4,7 +4,10 @@ Each subcommand is a thin adapter, registered by ``_command`` together with
 its help line and options: it calls library functions on the resolved
 configuration and returns their results as ``Table``s, named columns of
 native Python values or numpy arrays; main hands each to ``emit_table``
-only once all of them are computed, so a failed command writes no file.
+only once all of them are computed, removes the files of the earlier
+tables if a later one fails to write, and prints the written paths only
+once every table is written, so a failed command leaves no file and
+prints no path.
 No numeric logic lives here.
 Configuration comes from flags, then a key=value config file, then
 documented defaults; the resolved configuration is echoed into the output
@@ -490,8 +493,9 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
     half into an unlinked file beside path while this process renders the
     earlier one, and the kernel appends the child's bytes, so the file is
     the same bytes a serial run writes.  A file whose rendering or writing
-    fails partway is removed, so a failure leaves no table file, and no
-    child outlives the call.
+    fails partway is removed, and so is the table when its sidecar fails to
+    write, so a failure leaves no table file, and no child outlives the
+    call.
     """
     if out_format not in ("csv", "json"):
         raise UsageError(f"out must be csv or json, got {out_format!r}")
@@ -542,7 +546,11 @@ def emit_table(table: Table, *, out_format: str, path: str, metadata: dict) -> l
         _write_chunks(path, chain([head], _row_blocks(first, columns, 0, min(n, 1)),
                                   _row_blocks(row, rest, 1, mid), later, [tail]))
     if out_format == "csv":
-        _write_chunks(path + ".meta.json", [sidecar])
+        try:
+            _write_chunks(path + ".meta.json", [sidecar])
+        except BaseException:
+            os.remove(path)
+            raise
         return [path, path + ".meta.json"]
     return [path]
 
@@ -783,9 +791,16 @@ def main(argv=None) -> int:
         tables = _COMMANDS[command](cfg)
         metadata = _metadata(cfg)
         stem, ext = _stem(cfg), cfg["out"]
-        for table in tables:
-            path = f"{stem}_{table.name}.{ext}"
-            print(*emit_table(table, out_format=ext, path=path, metadata=metadata), sep="\n")
+        written = []
+        try:
+            for table in tables:
+                path = f"{stem}_{table.name}.{ext}"
+                written += emit_table(table, out_format=ext, path=path, metadata=metadata)
+        except BaseException:
+            for path in written:
+                os.remove(path)
+            raise
+        print(*written, sep="\n")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

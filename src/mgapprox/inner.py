@@ -157,7 +157,7 @@ def newman_shapiro_main_term(a: float, n):
 
     The remainder is O(n^(-5/4)), so n^(5/4) (a_n - main term) stays bounded.
     ``n`` is one order, giving a float, or a one-dimensional integer array
-    of orders, giving a float64 array.  The phases are one array pass
+    of orders, giving a float64 array.  An array's phases are one array pass
     (sqrt is correctly rounded, so they equal math.sqrt's); n^(-3/4) and
     the cosine are taken per cell with math.pow and math.cos, _TERM_BLOCK
     orders at a time, because numpy's power differs from libm's pow in the
@@ -167,14 +167,17 @@ def newman_shapiro_main_term(a: float, n):
     a = float(a)
     if not a > 0.0:
         raise ValueError("the singular parameter must be positive")
-    scalar = np.ndim(n) == 0
-    # object dtype keeps a scalar order beyond int64 exact
-    orders = np.array([int(n)], dtype=object) if scalar else np.asarray(n)
-    if not scalar and (orders.ndim != 1 or orders.dtype.kind not in "iu"):
+    amp = (2.0 * a) ** 0.25 / math.sqrt(math.pi)
+    if np.ndim(n) == 0:
+        n = int(n)
+        if n < 1:
+            raise ValueError("the asymptotic needs n >= 1")
+        return amp * math.pow(n, -0.75) * math.cos(2.0 * math.sqrt(2.0 * a * n) + math.pi / 4.0)
+    orders = np.asarray(n)
+    if orders.ndim != 1 or orders.dtype.kind not in "iu":
         raise ValueError("orders must be a one-dimensional integer sequence")
     if orders.size and orders.min() < 1:
         raise ValueError("the asymptotic needs n >= 1")
-    amp = (2.0 * a) ** 0.25 / math.sqrt(math.pi)
     phases = 2.0 * np.sqrt(2.0 * a * orders.astype(float)) + math.pi / 4.0
     terms = np.empty(orders.size)
     for lo in range(0, orders.size, _TERM_BLOCK):
@@ -182,7 +185,7 @@ def newman_shapiro_main_term(a: float, n):
         pows = np.fromiter(map(math.pow, orders[lo:hi].tolist(), repeat(-0.75)), float, hi - lo)
         cosines = np.fromiter(map(math.cos, phases[lo:hi].tolist()), float, hi - lo)
         np.multiply(amp * pows, cosines, out=terms[lo:hi])
-    return float(terms[0]) if scalar else terms
+    return terms
 
 
 @dataclass(frozen=True, eq=False)

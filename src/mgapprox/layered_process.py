@@ -18,9 +18,9 @@ intervals of half-width r_{k-1}.  The horizon ladder phi fixes every
 other constant: LayerParams stores phi and the floor values at it, and
 derives p, rho and the scales q, r, s from phi in closed form.  Magnitudes
 overflow binary64 near level 40, so the scales are natural logs.  The nine
-centers of a level are built from them once, in decimal arithmetic with a
-precision sized to the dynamic range, by one helper that both the decoding
-tables and the encoder/decoder use.
+centers of a level and its decoding radius are built from them once, in
+decimal arithmetic with a precision sized to the dynamic range, by
+``decoding_table``, whose tables LayerCodec encodes and decodes with.
 """
 
 from __future__ import annotations
@@ -51,11 +51,9 @@ from .rng import substream, substream_uniforms
 __all__ = [
     "DecodeReport",
     "DecodedSample",
-    "DecodingTable",
     "FIRE_LOG_FLOOR",
     "LayerCodec",
     "LayerParams",
-    "TableCell",
     "decoding_table",
     "inv_sqrt_log_rule",
     "level_one_window_variance",
@@ -293,7 +291,7 @@ def residual_norm_sq_natural(params: LayerParams, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# decoding centers, tables and the decimal encode/decode
+# decoding tables and the decimal encode/decode
 
 _OUTCOMES = tuple(product((-1, 0, 1), repeat=2))  # lexicographic (sx, sy)
 
@@ -305,84 +303,37 @@ def _working_dps(params: LayerParams) -> int:
     return 30 + int(span / math.log(10.0)) + 1
 
 
-def _level_centers(params: LayerParams, level: int, dps: int):
-    """The nine decoding centers of one level as an ``{outcome: center}``
-    dict in lexicographic outcome order, and the level's half-width r_{l-1}
-    (zero at level 1), all Decimal at ``dps`` digits.
+def decoding_table(
+    params: LayerParams, level: int
+) -> tuple[dict[tuple[int, int], Decimal], Decimal]:
+    """The nine decoding centers of level ``level`` as an ``{outcome:
+    center}`` dict in lexicographic outcome order, and the decoding radius
+    ``half``, all Decimal at the codec's working precision.
 
-    Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s).  Sorted
-    centers must lie at least 2 r_{l-1} apart, and be distinct at level 1;
-    this check, in the decoding precision, is what certifies that every
-    value decodes to one outcome.  A failure raises InvariantViolation.
-    """
-    with localcontext(_context(dps)):
-        rho = Decimal(float(params.rho[level - 1]))
-        s = Decimal(float(params.log_s[level - 1])).exp()
-        half = Decimal(float(params.log_r[level - 2])).exp() if level >= 2 else Decimal(0)
-        lag, lead = rho * s, (1 + rho) * s
-        centers = {(sx, sy): sx * lag - sy * lead for sx, sy in _OUTCOMES}
-        ordered = sorted(centers.items(), key=lambda cell: cell[1])
-        for (low, lo), (high, hi) in zip(ordered, ordered[1:]):
-            if not (hi > lo and hi - lo >= 2 * half):
-                raise InvariantViolation(
-                    f"intervals overlap at level {level}: outcomes {low}, {high}"
-                )
-    return centers, half
-
-
-@dataclass(frozen=True)
-class TableCell:
-    """One decoding interval: outcome (sign of E, sign of D) in units of q,
-    and the interval center as sign * exp(log_abs)."""
-
-    outcome: tuple[int, int]
-    sign: int
-    log_abs: float
-    value: float
-
-
-@dataclass(frozen=True, eq=False)
-class DecodingTable:
-    """Nine-interval partition at one level; intervals are
-    (center - half_width, center + half_width), pairwise disjoint."""
-
-    level: int
-    cells: tuple[TableCell, ...]
-    half_width: float
-    log_half_width: float
-
-
-def decoding_table(params: LayerParams, level: int) -> DecodingTable:
-    """Interval table used to read the level-``level`` outcome off a value.
-
-    Centers are s_l (rho sx - (1 + rho) sy) over the nine sign pairs; the
-    half-width is r_{l-1}, the reach of all lower levels combined.  Level 1
-    has half-width zero (no lower levels): its table degenerates to nine
-    isolated points, and decoding matches the nearest center instead of an
-    interval.  The centers and their disjointness check are the ones
-    LayerCodec decodes with, built at the codec's working precision and
-    rounded to binary64 here; a value beyond the binary64 range becomes
-    +-inf, its log stays finite.
+    Centers are s_l (rho sx - (1 + rho) sy) with s_l = exp(log_s).  The
+    radius is r_{l-1}, the reach of all lower levels combined, at l >= 2,
+    and rho_1/4 at level 1, whose centers lie rho_1 apart.  Sorted centers
+    must lie at least 2 half apart; this check, in the decoding precision,
+    is what certifies that every value decodes to one outcome.  A failure
+    raises InvariantViolation.  LayerCodec decodes with exactly these
+    tables.
     """
     level = int(level)
     if not 1 <= level <= params.level_count:
         raise ValueError(f"level must lie in [1, {params.level_count}]")
-    cells, half = _level_centers(params, level, _working_dps(params))
-    context = _context(40)  # the logs are rounded to binary64 once, from 40 digits
-    return DecodingTable(
-        level=level,
-        cells=tuple(
-            TableCell(
-                outcome=outcome,
-                sign=(center > 0) - (center < 0),
-                log_abs=float(center.copy_abs().ln(context)),
-                value=float(center),
-            )
-            for outcome, center in cells.items()
-        ),
-        half_width=float(half),
-        log_half_width=float(half.ln(context)),
-    )
+    with localcontext(_context(_working_dps(params))):
+        rho = Decimal(float(params.rho[level - 1]))
+        s = Decimal(float(params.log_s[level - 1])).exp()
+        half = Decimal(float(params.log_r[level - 2])).exp() if level >= 2 else rho / 4
+        lag, lead = rho * s, (1 + rho) * s
+        centers = {(sx, sy): sx * lag - sy * lead for sx, sy in _OUTCOMES}
+        ordered = sorted(centers.items(), key=lambda cell: cell[1])
+        for (low, lo), (high, hi) in zip(ordered, ordered[1:]):
+            if not hi - lo >= 2 * half:
+                raise InvariantViolation(
+                    f"intervals overlap at level {level}: outcomes {low}, {high}"
+                )
+    return centers, half
 
 
 @dataclass(frozen=True)
@@ -401,25 +352,20 @@ class LayerCodec:
     """Decimal encoder/decoder for level outcomes.
 
     Working precision is sized to the construction's dynamic range plus
-    guard digits.  Centers and half-widths come from the same per-level
-    builder as ``decoding_table``, with its disjointness check, at that
-    precision, so the cascading subtractions keep a wide margin relative
-    to each level's half-width.  A value is decodable in plain binary64
-    only when all levels above the binary64 range are silent; this codec
-    removes that restriction.
+    guard digits.  Each level's centers and radius are what
+    ``decoding_table`` returns, checked disjoint at that precision, so the
+    cascading subtractions keep a wide margin relative to each level's
+    radius.  A value is decodable in plain binary64 only when all levels
+    above the binary64 range are silent; this codec removes that
+    restriction.
     """
 
     def __init__(self, params: LayerParams):
         self.params = params
         self.dps = _working_dps(params)
         self._context = _context(self.dps)
-        levels = [
-            _level_centers(params, lvl, self.dps) for lvl in range(1, params.level_count + 1)
-        ]
-        self._centers = [centers for centers, _ in levels]  # one {outcome: center} per level
-        # _half[l - 1]: level l matches within r_{l-1}, level 1 within rho_1 / 4
-        self._half = [self._context.divide(Decimal(float(params.rho[0])), 4)]
-        self._half += [half for _, half in levels[1:]]
+        levels = [decoding_table(params, lvl) for lvl in range(1, params.level_count + 1)]
+        self._centers, self._half = zip(*levels)  # per level: {outcome: center}, radius
 
     def encode(self, x_signs, y_signs) -> Decimal:
         """Value of the time-zero sum for explicit level outcomes, as a Decimal

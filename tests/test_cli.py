@@ -1125,13 +1125,28 @@ class TestExitStatus:
         assert "invariant violation" in capsys.readouterr().err
         assert os.listdir() == []
 
+    @pytest.mark.parametrize("argv, blocked", [
+        (("inner", "--trunc", "5"), "inner_series.csv.meta.json"),
+        (("prop3", "--K", "2", "--samples", "10"), "prop3_decode.csv"),
+        (("prop3", "--K", "2", "--samples", "10", "--out", "json"), "prop3_norms.json"),
+    ], ids=["sidecar", "third-table", "json-second-table"])
+    def test_failed_write_leaves_no_file(self, argv, blocked, capsys):
+        # a directory in the way of one file fails its write; the files of
+        # the run written before it are removed and no path is printed
+        os.mkdir(blocked)
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert "IsADirectoryError" in err
+        assert out == ""
+        assert os.listdir() == [blocked]
+
     def test_prop3_checks_the_centers_once(self, monkeypatch, capsys):
         # the codec's center build is the only interval check prop3 runs
-        def overlap(params, level, dps):
+        def overlap(params, level):
             raise InvariantViolation(f"intervals overlap at level {level}")
 
         calls = []
-        monkeypatch.setattr("mgapprox.layered_process._level_centers", overlap)
+        monkeypatch.setattr("mgapprox.layered_process.decoding_table", overlap)
         monkeypatch.setattr("mgapprox.cli.decoding_table", lambda *a: calls.append(a))
         assert run("prop3", "--K", "4") == 3
         assert "intervals overlap at level 1" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import fields, replace
 from functools import cache
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -314,64 +315,80 @@ class TestResidualNorms:
 
 
 class TestDecodingTables:
-    def test_level_one_degenerates_to_points(self, layer_params_k4):
-        table = decoding_table(layer_params_k4, 1)
-        assert table.half_width == 0.0
-        assert len(table.cells) == 9
+    def test_level_one_radius_is_a_quarter_of_rho(self, layer_params_k4):
+        # level 1 has no lower levels; its centers lie rho_1 apart
+        centers, half = decoding_table(layer_params_k4, 1)
+        with decimal.localcontext(decimal.Context(prec=_working_dps(layer_params_k4))):
+            assert half == decimal.Decimal(float(layer_params_k4.rho[0])) / 4
+        assert len(centers) == 9
 
     def test_outcomes_lexicographic(self, layer_params_k4):
-        table = decoding_table(layer_params_k4, 2)
-        expected = list(itertools.product((-1, 0, 1), repeat=2))
-        assert [cell.outcome for cell in table.cells] == expected
+        centers, _ = decoding_table(layer_params_k4, 2)
+        assert list(centers) == OUTCOMES
 
     def test_centers_match_closed_form(self, layer_params_k4):
         pr = layer_params_k4
         for level in (2, 3):
-            table = decoding_table(pr, level)
+            centers, _ = decoding_table(pr, level)
             s = math.exp(pr.log_s[level - 1])
             rho = pr.rho[level - 1]
-            for cell in table.cells:
-                sx, sy = cell.outcome
+            for (sx, sy), center in centers.items():
                 want = s * (rho * sx - (1.0 + rho) * sy)
-                assert cell.value == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert float(center) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_tables_match_the_mpmath_construction(self, layer_params_k24):
         # the mpf centers the decimal builder replaced, at the same precision
         pr = layer_params_k24
         tables = [decoding_table(pr, level) for level in range(1, pr.level_count + 1)]
         with mpmath.workdps(_working_dps(pr)):
-            for level, table in enumerate(tables, 1):
+            for level, (centers, half) in enumerate(tables, 1):
                 rho = mpmath.mpf(float(pr.rho[level - 1]))
                 s = mpmath.exp(float(pr.log_s[level - 1]))
-                half = mpmath.exp(float(pr.log_r[level - 2])) if level >= 2 else mpmath.mpf(0)
+                radius = mpmath.exp(float(pr.log_r[level - 2])) if level >= 2 else rho / 4
                 lag, lead = rho * s, (1 + rho) * s
-                for cell, (sx, sy) in zip(table.cells, OUTCOMES, strict=True):
-                    center = sx * lag - sy * lead
-                    assert cell.outcome == (sx, sy)
-                    assert cell.value == float(center)
-                    assert cell.sign == int(mpmath.sign(center))
-                    assert cell.log_abs == float(mpmath.log(abs(center)))
-                assert table.half_width == float(half)
-                assert table.log_half_width == float(mpmath.log(half))
+                for (outcome, center), (sx, sy) in zip(centers.items(), OUTCOMES, strict=True):
+                    assert outcome == (sx, sy)
+                    assert float(center) == float(sx * lag - sy * lead)
+                assert float(half) == float(radius)
 
     def test_intervals_disjoint_in_floats(self, layer_params_k4):
         pr = layer_params_k4
-        for level in (2, 3, 4):
-            table = decoding_table(pr, level)
-            vals = sorted(cell.value for cell in table.cells)
+        for level in (1, 2, 3, 4):
+            centers, half = decoding_table(pr, level)
+            vals = sorted(map(float, centers.values()))
             for lo, hi in zip(vals, vals[1:]):
-                assert hi - lo >= 2.0 * table.half_width
+                assert hi - lo >= 2.0 * float(half)
 
     def test_half_width_is_lower_reach(self, layer_params_k4):
         pr = layer_params_k4
-        table = decoding_table(pr, 3)
-        assert table.half_width == pytest.approx(math.exp(pr.log_r[1]), rel=1e-15)
+        _, half = decoding_table(pr, 3)
+        assert float(half) == pytest.approx(math.exp(pr.log_r[1]), rel=1e-15)
 
     def test_level_validation(self, layer_params_k4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("level must lie in [1, 4]")):
             decoding_table(layer_params_k4, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("level must lie in [1, 4]")):
             decoding_table(layer_params_k4, 5)
+
+    @pytest.mark.parametrize("level, name, shift", [(1, "rho", 0.8), (2, "log_r", 50.0)])
+    def test_overlapping_intervals_rejected(self, layer_params_k4, level, name, shift):
+        # LayerParams derives its scales and cannot hold these, so a stand-in
+        # carries them: with rho_1 near 0.9, level 1's gap 1 - rho_1 lies
+        # below 2 (rho_1/4), and a reach e^50 times r_1 is wider than level
+        # 2's spacing of 10 r_1
+        pr = layer_params_k4
+        scales = {key: getattr(pr, key) for key in ("level_count", "rho", "log_s", "log_r")}
+        scales[name] = scales[name] + shift
+        with pytest.raises(InvariantViolation, match=f"intervals overlap at level {level}: "):
+            decoding_table(SimpleNamespace(**scales), level)
+
+    @pytest.mark.parametrize("level_count", [4, 8, 24])
+    def test_codec_decodes_with_the_tables(self, layer_params_k4, layer_params_k8,
+                                           layer_params_k24, level_count):
+        pr = {4: layer_params_k4, 8: layer_params_k8, 24: layer_params_k24}[level_count]
+        codec = LayerCodec(pr)
+        tables = [decoding_table(pr, level) for level in range(1, level_count + 1)]
+        assert list(zip(codec._centers, codec._half, strict=True)) == tables
 
     def test_tampered_scales_rejected(self, layer_params_k4):
         # the tables and the codec read scales derived from phi; no copy that
@@ -470,7 +487,7 @@ class TestLayerCodec:
                 trips.append((str(value), codec.decode(value)))
             _TAILS.clear()  # the running table of tails is rebuilt in this context
             tails = [_tail_inverse_squares(j) for j in range(1, 9)]
-            return [(t.cells, t.half_width, t.log_half_width) for t in tables], trips, tails
+            return tables, trips, tails
 
         expected = run()
         # any arithmetic left in this context would round, and so raise

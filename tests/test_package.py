@@ -16,14 +16,16 @@ import mgapprox
 ROOT = Path(__file__).resolve().parents[1]
 
 # mgapprox.__all__ as it stood before the facade was built from the module
-# __all__ lists, less the sampling names that moved to tests/oracles.py;
-# every one of these names must stay exported.
+# __all__ lists, less the sampling names that moved to tests/oracles.py and
+# the float renderings of a decoding table (TableCell, DecodingTable), which
+# decoding_table's Decimal centers replaced; every one of these names must
+# stay exported.
 EXPORTED = [
     "BlaschkeSpec", "CesaroProfile", "CoefficientSeries", "DecayDiagnostics",
-    "DecodeReport", "DecodedSample", "DecodingTable", "DyadicMidpointReport",
+    "DecodeReport", "DecodedSample", "DyadicMidpointReport",
     "ExactModel", "FIRE_LOG_FLOOR", "GapReport", "InvariantViolation",
     "LayerCodec", "LayerParams", "ProjectionReport",
-    "TableCell", "__version__", "approximation_gap", "autocorrelation",
+    "__version__", "approximation_gap", "autocorrelation",
     "best_scalar_gap", "blaschke_eval_radial", "blaschke_factor_coeffs",
     "blaschke_product_coeffs", "cauchy_product", "cesaro_profile",
     "coefficient_decay_diagnostics", "conditional_expectation",
@@ -39,7 +41,7 @@ EXPORTED = [
 
 
 def test_every_earlier_name_still_exported():
-    assert len(EXPORTED) == 50
+    assert len(EXPORTED) == 48
     assert [name for name in EXPORTED if not hasattr(mgapprox, name)] == []
     assert set(EXPORTED) <= set(mgapprox.__all__)
 
