@@ -8,7 +8,8 @@ only once all of them are computed, removes the files of the earlier
 tables if a later one fails to write, and prints the written paths only
 once every table is written, so a failed command leaves no file and
 prints no path.
-No numeric logic lives here.
+Numeric work lives in the library; a command computes only its check
+columns and prop2's closed form ``hannan_analytic``.
 Configuration comes from flags, then a key=value config file, then
 documented defaults; the resolved configuration is echoed into the output
 metadata, and rerunning with an identical configuration produces

@@ -19,8 +19,9 @@ scan.  ``digit_values`` is the one encoder: it packs whole sign matrices,
 ``ExactModel.build``'s digit column included, by 2 depth elementwise adds
 in a fixed column order, with no BLAS product, so the digit is the same
 float on every CPU.  ``decode_digit_values`` decodes in 2 depth array
-steps; ``digit_value`` and ``decode_digit_value`` are the one-row forms of
-the two.  e_0 and e_{depth+1} carry no digit weight: e_0 enters the
+steps and accepts a value only when its decoded signs re-encode to it;
+``digit_value`` and ``decode_digit_value`` are the one-row forms of the
+two.  e_0 and e_{depth+1} carry no digit weight: e_0 enters the
 observable separately, and e_{depth+1} exists only so the filtration has
 one step past the last weighted carrier.
 """
@@ -50,11 +51,10 @@ Label = tuple[str, int]
 
 @dataclass(frozen=True, eq=False)
 class ExactModel:
-    """All atoms of the finite model: one +-1 sign per carrier and atom."""
+    """All atoms of the finite model; ``column`` reads a carrier's signs."""
 
     depth: int
     labels: tuple[Label, ...]
-    signs: np.ndarray  # (2^V, V) int8, entries +-1
     digit: np.ndarray  # (2^V,) float64
     observable: np.ndarray  # (2^V,) float64
 
@@ -64,25 +64,25 @@ class ExactModel:
         if depth < 1:
             raise ValueError("depth must be >= 1")
         labels = (*(("e", i) for i in range(-depth, depth + 2)), ("f", -1), ("f", 0))
-        v = len(labels)
-        if v > 20:
+        if len(labels) > 20:
             raise ValueError("too many carriers for exhaustive enumeration")
-        pm = np.array([-1, 1], dtype=np.int8)
-        signs = np.empty((2**v, v), dtype=np.int8)
-        for j in range(v):  # carrier j is +1 where bit j of the atom index is set
-            signs[:, j] = np.tile(np.repeat(pm, 2**j), 2 ** (v - 1 - j))
-        band = [labels.index(label) for label in _band(depth)[0]]
-        digit = digit_values(signs[:, band], depth)
-        f0 = signs[:, labels.index(("f", 0))].astype(np.float64)
-        e0 = signs[:, labels.index(("e", 0))].astype(np.float64)
-        observable = f0 * digit + 2.0 * e0
-        return cls(depth=depth, labels=labels, signs=signs, digit=digit, observable=observable)
+        band = np.column_stack([_carrier_signs(labels, label) for label in _band(depth)[0]])
+        digit = digit_values(band, depth)
+        f0, e0 = _carrier_signs(labels, ("f", 0)), _carrier_signs(labels, ("e", 0))
+        return cls(depth=depth, labels=labels, digit=digit, observable=f0 * digit + 2.0 * e0)
 
     def column(self, label: Label) -> np.ndarray:
         """A fresh float64 copy of one carrier's signs."""
         if label not in self.labels:
             raise KeyError(f"no carrier {label!r} in this model")
-        return self.signs[:, self.labels.index(label)].astype(np.float64)
+        return _carrier_signs(self.labels, label).astype(np.float64)
+
+
+def _carrier_signs(labels: tuple[Label, ...], label: Label) -> np.ndarray:
+    """int8 signs of carrier j = labels.index(label) over the 2^V atoms:
+    +1 exactly on the atoms whose index has bit j set."""
+    v, j = len(labels), labels.index(label)
+    return np.tile(np.repeat(np.array([-1, 1], dtype=np.int8), 2**j), 2 ** (v - 1 - j))
 
 
 def conditioning_up_to(model: ExactModel, k: int) -> frozenset:
@@ -97,7 +97,7 @@ def conditional_expectation(model: ExactModel, target: np.ndarray, cond: frozens
     carriers outside ``cond``, broadcast back to every atom.
     """
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != (model.signs.shape[0],):
+    if target.shape != model.digit.shape:
         raise ValueError("target must assign one value per atom")
     unknown = cond - set(model.labels)
     if unknown:
@@ -202,22 +202,22 @@ def decode_digit_values(values, depth: int) -> tuple[np.ndarray, np.ndarray]:
     Weights 3^-m for m = 2 .. 2 depth + 1 dominate the sum of all smaller
     ones (a geometric tail of ratio 1/3), so the sign at each position is
     the sign of the residual.  Returns the (n, 2 depth) int8 sign rows, in
-    digit_values' columns, and a mask of the rows that decode: a residual
-    that is zero before all positions are read means the value was not
-    produced by the encoder, and that row's signs mean nothing.
+    digit_values' columns, and a mask of the rows that decode: the rows
+    whose signs re-encode through digit_values to exactly the given value.
+    Any other value (1.0, 100.0, NaN, inf) is not one the encoder produces,
+    and that row's signs mean nothing.
     """
     depth = int(depth)
-    residual = np.array(values, dtype=np.float64, ndmin=1) - 1.0
-    if residual.ndim != 1:
+    values = np.array(values, dtype=np.float64, ndmin=1)
+    if values.ndim != 1:
         raise ValueError("values must be one-dimensional")
     _, weights, order = _band(depth)
-    signs = np.empty((residual.size, 2 * depth), dtype=np.int8)
-    ok = np.ones(residual.size, dtype=bool)
+    residual = values - 1.0
+    signs = np.empty((values.size, 2 * depth), dtype=np.int8)
     for j in order:
-        ok &= residual != 0.0
         signs[:, j] = np.where(residual > 0.0, 1, -1)
         residual -= signs[:, j] * weights[j]
-    return signs, ok
+    return signs, digit_values(signs, depth) == values
 
 
 def digit_value(signs: dict[Label, int], depth: int) -> float:
@@ -232,7 +232,7 @@ def digit_value(signs: dict[Label, int], depth: int) -> float:
 
 def decode_digit_value(value: float, depth: int) -> dict[Label, int]:
     """decode_digit_values of one value, as e-signs keyed by carrier in
-    decoding order; a value the encoder cannot produce raises ValueError."""
+    decoding order; a value its signs do not re-encode to raises ValueError."""
     depth = int(depth)
     signs, ok = decode_digit_values(float(value), depth)
     if not ok[0]:

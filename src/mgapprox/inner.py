@@ -126,11 +126,10 @@ def singular_inner_coeffs(a: float, n: int) -> CoefficientSeries:
         raise ValueError(f"truncation order {n} exceeds {_MAX_SINGULAR_ORDER:.0e}, the most "
                          "recurrence steps supported")
     partial = np.empty(n + 1)
-    partial[0] = prev = math.exp(-a)
-    if n >= 1:
-        partial[1] = cur = math.exp(-a) * (1.0 - 2.0 * a)
+    partial[0] = cur = math.exp(-a)
+    prev = 0.0  # A_{-1}: the k = 0 step is (1 - 2a) A_0
     x = 2.0 * a
-    for k in range(1, n):
+    for k in range(n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
         partial[k + 1] = cur
     partial[1:] = np.diff(partial)  # a_0 = A_0; differenced in place, no prepended copy
@@ -403,10 +402,10 @@ def dyadic_midpoint_report(level: int, k_max: int) -> DyadicMidpointReport:
 
     below = z[: level - 1]
     above = z[level + 1 :]
-    p1 = float(np.prod((r - below) / (1.0 - below * r))) if below.size else 1.0
+    p1 = float(np.prod((r - below) / (1.0 - below * r)))
     p2 = float((r - z[level - 1]) / (1.0 - z[level - 1] * r))
     p3 = float((z[level] - r) / (1.0 - z[level] * r))
-    p4 = float(np.prod((above - r) / (1.0 - above * r))) if above.size else 1.0
+    p4 = float(np.prod((above - r) / (1.0 - above * r)))
     product = abs(blaschke_eval_radial(spec, r))
     c = dyadic_radial_limit_bound()
 

@@ -34,20 +34,14 @@ def empirical_autocovariance(path: np.ndarray, k: int) -> float:
 
 
 def with_carrier(model: ExactModel, label: Label) -> ExactModel:
-    """The model with one more independent sign carrier, placed last.
-
-    The new carrier is -1 on the first half of the atoms and +1 on the
-    second, which keeps the layout: carrier j is +1 exactly when bit j of
-    the atom index is set.  The digit and observable do not read it.
-    """
+    """The model with one more independent sign carrier, placed last: the
+    atoms double, and the digit and observable, which do not read the new
+    carrier, repeat on both halves."""
     if label in model.labels:
         raise ValueError(f"the model already has the carrier {label!r}")
-    atoms = model.signs.shape[0]
-    sign = np.repeat(np.array([-1, 1], dtype=np.int8), atoms)[:, None]
     return ExactModel(
         depth=model.depth,
         labels=(*model.labels, label),
-        signs=np.hstack((np.tile(model.signs, (2, 1)), sign)),
         digit=np.tile(model.digit, 2),
         observable=np.tile(model.observable, 2),
     )

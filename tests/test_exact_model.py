@@ -6,6 +6,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from itertools import product
 from pathlib import Path
 
@@ -34,6 +35,19 @@ def analytic_root_norm(depth):
     return math.sqrt(5.0 + sum(9.0 ** -(2 * i + 1) for i in range(1, depth + 1)))
 
 
+def sign_rows(model):
+    """The (2^V, V) sign matrix of a model, stacked from its columns."""
+    return np.column_stack([model.column(label) for label in model.labels])
+
+
+def assert_index_bit_layout(model):
+    """Carrier j is +1 exactly on the atoms whose index has bit j set."""
+    index = np.arange(model.digit.size)
+    assert model.digit.size == 2 ** len(model.labels)
+    for j, label in enumerate(model.labels):
+        assert np.array_equal(model.column(label), np.where(index >> j & 1, 1, -1))
+
+
 @pytest.fixture(scope="module")
 def model3():
     return ExactModel.build(3)
@@ -45,10 +59,12 @@ class TestBuild:
         fs = [lab for lab in model3.labels if lab[0] == "f"]
         assert es == [("e", i) for i in range(-3, 5)]
         assert fs == [("f", -1), ("f", 0)]
-        assert model3.signs.shape == (2**10, 10)
+        assert model3.digit.shape == model3.observable.shape == (2**10,)
+        assert [field.name for field in fields(ExactModel)] == [
+            "depth", "labels", "digit", "observable"]
 
     def test_signs_enumerate_all_atoms(self, model3):
-        rows = {tuple(r) for r in model3.signs}
+        rows = {tuple(r) for r in sign_rows(model3).tolist()}
         assert len(rows) == 2**10
 
     @pytest.mark.parametrize("depth", range(1, 9))
@@ -71,15 +87,12 @@ class TestBuild:
         # the enlarged model of the literal filtration cases
         m = with_carrier(ExactModel.build(2), ("f", 1))
         assert m.labels[-1] == ("f", 1)
-        index = np.arange(2**len(m.labels))
-        for j in range(len(m.labels)):
-            assert np.array_equal(m.signs[:, j], np.where((index >> j) & 1, 1, -1))
+        assert_index_bit_layout(m)
         assert np.array_equal(m.observable, m.column(("f", 0)) * m.digit + 2.0 * m.column(("e", 0)))
 
-    def test_signs_follow_the_atom_index_bits(self, model3):
-        index = np.arange(2**10)
-        for j in range(10):
-            assert np.array_equal(model3.signs[:, j], np.where((index >> j) & 1, 1, -1))
+    def test_signs_follow_the_atom_index_bits(self):
+        for depth in range(1, 5):
+            assert_index_bit_layout(ExactModel.build(depth))
 
     def test_column_is_a_fresh_float_copy(self, model3):
         col = model3.column(("e", 1))
@@ -159,10 +172,10 @@ def bincount_expectation(model, target, cond):
     """E[target | cond] by grouping atoms on the packed bits of the
     conditioning carriers, the implementation before axis means."""
     target = np.asarray(target, dtype=np.float64)
-    positions = [j for j, lab in enumerate(model.labels) if lab in cond]
+    positions = [lab for lab in model.labels if lab in cond]
     if not positions:
         return np.full_like(target, target.mean())
-    bits = (model.signs[:, positions] > 0).astype(np.int64)
+    bits = np.column_stack([model.column(lab) > 0 for lab in positions]).astype(np.int64)
     key = bits @ (np.int64(1) << np.arange(len(positions), dtype=np.int64))
     sums = np.bincount(key, weights=target, minlength=2 ** len(positions))
     counts = np.bincount(key, minlength=2 ** len(positions))
@@ -185,7 +198,7 @@ class TestAxisMeansMatchTheBincountOracle:
     def test_random_subsets_and_targets(self, depth, mask, seed, scale):
         m = _MODELS[depth]
         cond = frozenset(lab for lab, keep in zip(m.labels, mask) if keep)
-        target = scale * np.random.default_rng(seed).standard_normal(m.signs.shape[0])
+        target = scale * np.random.default_rng(seed).standard_normal(m.digit.size)
         got = conditional_expectation(m, target, cond)
         want = bincount_expectation(m, target, cond)
         assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, np.max(np.abs(target)))
@@ -363,16 +376,17 @@ class TestDigitCodec:
             decode_digit_value(1.0, 3)
 
     def test_foreign_value_never_round_trips(self):
-        # A depth-2 packing read at depth 3: either the exact-zero guard
-        # fires, or the greedy result fails to re-encode to the input (the
-        # guard promises detection only up to re-encoding).
+        # a depth-2 packing read at depth 3 does not re-encode to itself
         band = [("e", i) for i in (1, 2, -1, -2)]
         value = digit_value({lab: 1 for lab in band}, 2)
-        try:
-            signs = decode_digit_value(value, 3)
-        except ValueError:
-            return
-        assert digit_value(signs, 3) != value
+        with pytest.raises(ValueError):
+            decode_digit_value(value, 3)
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("value", [100.0, -3.0, 0.5, math.nan, math.inf, -math.inf])
+    def test_values_outside_the_encoding_are_refused(self, value, depth):
+        with pytest.raises(ValueError, match="not a packed digit"):
+            decode_digit_value(value, depth)
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
@@ -409,6 +423,27 @@ def band_of(depth):
     return [("e", i) for i in (*range(1, depth + 1), *range(-depth, 0))]
 
 
+def all_patterns(depth):
+    """Every sign row of the 2 depth weighted carriers, as int8."""
+    return np.array(list(product((-1, 1), repeat=2 * depth)), dtype=np.int8)
+
+
+@st.composite
+def digit_probes(draw):
+    """(value, depth): an encoding, a neighbouring double of one, a value
+    near the digit range, or any float."""
+    depth = draw(st.integers(1, 6))
+    row = draw(st.lists(st.sampled_from([-1, 1]), min_size=2 * depth, max_size=2 * depth))
+    encoded = float(digit_values([row], depth)[0])
+    value = draw(st.one_of(
+        st.just(encoded),
+        st.sampled_from([math.nextafter(encoded, 0.0), math.nextafter(encoded, 2.0)]),
+        st.floats(0.8, 1.2),
+        st.floats(),
+    ))
+    return value, depth
+
+
 def float_bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
@@ -417,7 +452,7 @@ class TestArrayDigitCodec:
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_every_pattern_matches_the_scalar_oracle(self, depth):
         band = band_of(depth)
-        patterns = np.array(list(product((-1, 1), repeat=2 * depth)), dtype=np.int8)
+        patterns = all_patterns(depth)
         expected = [oracle_digit_value(dict(zip(band, row)), depth) for row in patterns.tolist()]
         values = digit_values(patterns, depth)
         assert float_bits(values) == float_bits(expected)
@@ -432,22 +467,30 @@ class TestArrayDigitCodec:
                 oracle_decode_digit_value(value, depth).items()
             )
 
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_shifted_encodings_are_refused(self, depth):
+        values = digit_values(all_patterns(depth), depth) + 1e-3
+        assert not decode_digit_values(values, depth)[1].any()
+
     @settings(deadline=None, max_examples=300)
-    @given(value=st.floats(0.8, 1.2), depth=st.integers(1, 6))
-    @example(value=1.0, depth=3)
-    @example(value=1.0 + 3.0**-2, depth=2)
-    def test_arbitrary_values_decode_as_the_oracle(self, value, depth):
+    @given(probe=digit_probes())
+    @example(probe=(1.0, 3))
+    @example(probe=(1.0 + 3.0**-2, 2))
+    @example(probe=(1.0 + 3.0**-2 + 3.0**-3, 1))
+    def test_arbitrary_values_decode_as_the_oracle(self, probe):
+        """The verdict is re-encoding: a value decodes exactly when its
+        greedy signs pack back to it, and then the signs are the scalar
+        oracle's; every other value raises."""
+        value, depth = probe
         signs, ok = decode_digit_values([value], depth)
-        try:
+        assert ok[0] == (digit_values(signs, depth)[0] == value)
+        if ok[0]:
             want = oracle_decode_digit_value(value, depth)
-        except ValueError:
-            assert not ok[0]
+            assert dict(zip(band_of(depth), signs[0].tolist())) == want
+            assert decode_digit_value(value, depth) == want
+        else:
             with pytest.raises(ValueError):
                 decode_digit_value(value, depth)
-            return
-        assert ok[0]
-        assert dict(zip(band_of(depth), signs[0].tolist())) == want
-        assert decode_digit_value(value, depth) == want
 
     def test_array_validation(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
