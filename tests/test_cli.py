@@ -221,7 +221,7 @@ class TestEmitTable:
         emit_table(table_of(rows, schema), out_format=out_format, path=path, metadata=metadata)
         assert read(path) == reference_bytes(rows, schema, out_format, metadata)
 
-    @settings(deadline=None, max_examples=100)
+    @settings(deadline=None, max_examples=50)
     @given(columns=TYPED_TABLES,
            metadata=st.sampled_from([{}, {"config": {"horizons": [1, 10]}}, {"rows": []}]))
     @example(columns=[[], []], metadata={})
@@ -406,18 +406,6 @@ class TestEmitTable:
         assert paths == ["t.csv", "t.csv.meta.json"]
         text = read("t.csv").decode()
         assert text == "n,a,b,ok,tag\n1,0.5,,true,x\n2,-1,3,false,y\n"
-
-    def test_csv_seventeen_digit_floats(self):
-        emit_table(Table("t", v=[math.pi]), out_format="csv", path="pi.csv", metadata={})
-        assert read("pi.csv").decode() == "v\n3.1415926535897931\n"
-
-    def test_empty_rows_header_only(self):
-        emit_table(Table("t", a=[], b=[]), out_format="csv", path="e.csv", metadata={})
-        assert read("e.csv").decode() == "a,b\n"
-
-    def test_single_row_two_lines(self):
-        emit_table(Table("t", a=[1], b=[2]), out_format="csv", path="s.csv", metadata={})
-        assert len(read("s.csv").decode().splitlines()) == 2
 
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_one_row_table_renders_as_rows(self, out_format):
@@ -756,16 +744,16 @@ class TestRunsAndValues:
         """No whole column of Python objects: the peak is the arrays of the
         computation plus about one rendered block.  cesaro_profile peaks with
         four float64 arrays of n + 1 cells alive (the coefficients, the
-        partial sums, the means and the divisors of the means), 6.4 MB at
-        n = 200000, since CesaroProfile freezes the two it is handed instead
-        of copying them (five arrays, 8.0 MB, when it copied);
-        singular_inner_coeffs, which differences in place, peaks at two.
-        emit_table's text blocks of three columns peak at about 1.2 MB (1.6 MB
-        as JSON).  The bound is those four arrays plus 2 MB.  Columns held as
-        lists of Python floats and ints took 25.8 MB.  On a host with 2 CPUs a
-        forked child renders the later half of the table, and tracemalloc
-        sees only this process's half."""
-        trunc = 200_000
+        partial sums, the means and the divisors of the means), 3.2 MB at
+        n = 100000; singular_inner_coeffs, which differences in place, peaks
+        at two.  emit_table's text blocks of three columns peak at about
+        1.2 MB (1.6 MB as JSON).  The bound is those four arrays plus 2 MB;
+        the run peaked at 3.9 MB.  Turning a whole column into a list at
+        once peaked at 6.7 MB for row 0's cells and at 8.3 MB for the text
+        blocks; at n = 50000 the first stayed under the bound.  On a host
+        with 2 CPUs a forked child renders the later half of the table, and
+        tracemalloc sees only this process's half."""
+        trunc = 100_000
         bound = 4 * 8 * (trunc + 1) + 2_000_000
         tracemalloc.start()
         try:
@@ -935,6 +923,13 @@ class TestConfigResolution:
     def test_missing_file_reported(self):
         assert run("inner", "--config", "absent.cfg") == 2
 
+    def test_undecodable_file_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_bytes(b"trunc = 5\n\xff\n")
+        assert run("inner", "--config", "run.cfg") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: cannot read config file 'run.cfg': 'utf-8' codec")
+        assert os.listdir() == ["run.cfg"]
+
     def test_malformed_line_reported(self, tmp_path):
         (tmp_path / "run.cfg").write_text("just a line\n")
         assert run("inner", "--config", "run.cfg") == 2
@@ -952,30 +947,6 @@ class TestConfigResolution:
 
 
 class TestExitStatus:
-    def test_unknown_flag(self, capsys):
-        assert run("inner", "--badflag", "1") == 2
-        capsys.readouterr()
-
-    def test_unknown_command(self, capsys):
-        assert run("nonsense") == 2
-        capsys.readouterr()
-
-    def test_bad_value(self, capsys):
-        assert run("prop2", "--depth", "99") == 2
-        assert "depth" in capsys.readouterr().err
-
-    def test_bad_span(self, capsys):
-        assert run("prop6", "--n-range", "9..3") == 2
-        capsys.readouterr()
-
-    def test_bad_list_entry(self, capsys):
-        assert run("gap", "--horizons", "0") == 2
-        capsys.readouterr()
-
-    def test_bad_format(self, capsys):
-        assert run("inner", "--out", "xml") == 2
-        capsys.readouterr()
-
     @pytest.mark.parametrize("argv", [
         ("gap", "--c", "nan", "--trunc", "10"),
         ("gap", "--c=-inf", "--trunc", "10"),
@@ -1324,18 +1295,6 @@ class TestEntry:
             os.close(writer)
         assert got[0] == 120
         assert "BrokenPipeError" in got[2]
-
-    def test_a_forked_table_prints_each_path_once(self, tmp_path):
-        """The forked child's exit flushes nothing inherited, and the
-        parent's flushes once; the files are the in-process run's bytes."""
-        force_two_cpus = "import os; os.sched_getaffinity = lambda pid: {0, 1}"
-        argv = ["inner", "--trunc", "9000"]
-        names = ["inner_series.csv", "inner_series.csv.meta.json"]
-        paths = "".join(f"{tmp_path / 'entry' / name}\n" for name in names)
-        assert self.outcome(tmp_path / "entry", self.ENTRY, argv, force_two_cpus) == (0, paths, "")
-        assert main(argv) == 0
-        for name in names:
-            assert read(tmp_path / "entry" / name) == read(name)
 
     def test_a_library_warning_is_one_line(self, tmp_path):
         """A library warning reaches the console as one line naming its

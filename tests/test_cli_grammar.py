@@ -337,7 +337,7 @@ def _is_well_formed(argv: list[str]) -> bool:
     return all(f in flags and _spaced(v) for f, v in zip(argv[1::2], argv[2::2]))
 
 
-@settings(deadline=None, max_examples=500)
+@settings(deadline=None, max_examples=200)
 @given(argv=st.one_of(argvs(), well_formed()))
 @example(argv=["gap"])
 @example(argv=["gap", "--trunc", "5", "--trunc", "7"])

@@ -382,6 +382,8 @@ class TestBlaschkeProduct:
         tiny = blaschke_product_coeffs(BlaschkeSpec.dyadic(9), 2**14).tail_mass_bound
         assert tiny > 0.0
         assert tiny == pytest.approx(3.83504013e-29, rel=1e-8, abs=0.0)
+        # the final state 0.05**300 underflows to 0; the bound must stay positive
+        assert blaschke_product_coeffs(BlaschkeSpec([0.05]), 300).tail_mass_bound > 0.0
 
     def test_unresolved_truncation_warns(self):
         with pytest.warns(RuntimeWarning):
